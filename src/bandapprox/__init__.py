@@ -2,7 +2,8 @@
 
 A library and CLI that approximates the bandwidth of dense graphs with two
 randomized pipelines sharing one front end (sampled two-hop dominating
-roots, exhaustive root-to-box placement, per-vertex box intervals): an
+roots, a Hall-pruned search over root-to-box placements, per-vertex box
+intervals): an
 auxiliary-graph perfect-matching back end and a compressed max-flow back
 end whose feasibility instance has size independent of the graph.  An
 exact branch-and-bound oracle covers desk-scale instances for

@@ -2,12 +2,14 @@
 admissible box intervals.
 
 This is the shared front end of both approximation back ends: positions
-1..n are grouped into boxes of ``boxsize`` consecutive positions, every
-capacity-respecting assignment of roots to boxes is enumerated, and each
-vertex gets an interval of boxes it may occupy — the intersection of a
-window of +/-2 boxes around each root within two hops and (by default)
-+/-3 around each root at exactly three hops.  For the one-hop baseline the
-window is +/-1 around each neighboring root.
+1..n are grouped into boxes of ``boxsize`` consecutive positions, roots are
+assigned to boxes without exceeding any box's capacity, and each vertex
+gets an interval of boxes it may occupy — the intersection of a window of
++/-2 boxes around each root within two hops and (by default) +/-3 around
+each root at exactly three hops.  For the one-hop baseline the window is
++/-1 around each neighboring root.  The search over assignments lives in
+:mod:`bandapprox.search`; :func:`enumerate_placements` lists them all in
+the order that search visits them.
 """
 
 from __future__ import annotations
@@ -110,6 +112,45 @@ def root_distances(g: Graph, rs: RootSet) -> dict[int, tuple[int | None, ...]]:
     return {u: bfs_from_set(g, (u,)).dist for u in rs.roots}
 
 
+def window_sizes(rs: RootSet, use_3hop: bool = True) -> tuple[int, int | None]:
+    """``(near_window, far_window)``: a vertex within ``near_window`` hops of
+    a root stays within that many boxes of it, one at exactly
+    ``near_window + 1`` hops within ``far_window`` boxes (``None`` when the
+    three-hop tightening is off or the roots are one-hop)."""
+    far_window = 3 if (use_3hop and rs.hop_radius == 2) else None
+    return rs.hop_radius, far_window
+
+
+def root_windows(
+    rs: RootSet,
+    dists: Mapping[int, Sequence[int | None]],
+    use_3hop: bool = True,
+) -> tuple[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int | None]:
+    """``(near, far, near_window, far_window)``: per root (aligned with
+    ``rs.roots``), the non-root vertices its box constrains, those within
+    ``near_window`` hops in ``near`` and those at exactly ``near_window + 1``
+    hops in ``far`` (empty without the three-hop tightening), then the
+    window sizes of :func:`window_sizes`.
+
+    The transpose of :class:`IntervalTable`'s ``near``/``far`` records,
+    without the roots, which are pinned to their own box instead.
+    """
+    near_window, far_window = window_sizes(rs, use_3hop)
+    root_set = set(rs.roots)
+    near: list[tuple[int, ...]] = []
+    far: list[tuple[int, ...]] = []
+    for u in rs.roots:
+        du = dists[u]
+        others = [v for v in range(len(du)) if v not in root_set and du[v] is not None]
+        near.append(tuple(v for v in others if du[v] <= near_window))
+        far.append(
+            tuple(v for v in others if du[v] == near_window + 1)
+            if far_window is not None
+            else ()
+        )
+    return tuple(near), tuple(far), near_window, far_window
+
+
 def _derive_intervals(
     n: int,
     root_boxes: Mapping[int, int],
@@ -159,8 +200,7 @@ def build_intervals(
         raise ValueError("root set must be certified before building intervals")
     if rp.roots != rs.roots:
         raise ValueError("placement roots differ from the root set")
-    near_window = rs.hop_radius
-    far_window = 3 if (use_3hop and rs.hop_radius == 2) else None
+    near_window, far_window = window_sizes(rs, use_3hop)
 
     near: list[tuple[int, ...]] = []
     far: list[tuple[int, ...]] = []

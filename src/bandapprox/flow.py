@@ -246,11 +246,11 @@ def approx_bandwidth_alg2(
 ):
     """Approximate bandwidth with the compressed-flow feasibility test.
 
-    Same contract as the matching pipeline, but each configuration is
-    decided by interval counting + max flow, interval tables are updated
-    (not rebuilt) between placements, and the box-size scan can optionally
-    bisect (``search="binary"``; experimental, since feasibility is not
-    proven monotone in the box size).
+    Same contract and same placement search as the matching pipeline, but
+    the winning configuration's layout is extracted by interval counting +
+    max flow, and the box-size scan can optionally bisect
+    (``search="binary"``; experimental, since feasibility is not proven
+    monotone in the box size).
     """
     from .search import run_search
 

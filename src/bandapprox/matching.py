@@ -8,7 +8,6 @@ exactly a feasible box-respecting layout.  The engine is Hopcroft-Karp
 
 from __future__ import annotations
 
-import sys
 from collections import deque
 from dataclasses import dataclass
 
@@ -68,9 +67,6 @@ def max_matching(aux: AuxGraph) -> Matching:
     dist = [INF] * n
     dist_nil = INF
 
-    if n > 0:
-        sys.setrecursionlimit(max(sys.getrecursionlimit(), 4 * n + 100))
-
     def bfs() -> bool:
         nonlocal dist_nil
         dist_nil = INF
@@ -95,25 +91,46 @@ def max_matching(aux: AuxGraph) -> Matching:
                     q.append(w)
         return dist_nil != INF
 
-    def dfs(v: int) -> bool:
-        for p in adj[v]:
-            w = match_p[p]
-            if w == -1:
-                if dist[v] + 1 == dist_nil:
-                    match_v[v] = p
-                    match_p[p] = v
-                    return True
-            elif dist[w] == dist[v] + 1 and dfs(w):
-                match_v[v] = p
-                match_p[p] = v
-                return True
-        dist[v] = INF
+    def augment(root: int) -> bool:
+        """Layered augmenting path from a free vertex, depth first.
+
+        Each stack frame is ``[vertex, index of its next position]``, so the
+        positions are tried in ``adj`` order exactly as a recursive search
+        would; a vertex that leads nowhere is taken out of the layering.
+        """
+        stack = [[root, 0]]
+        while stack:
+            frame = stack[-1]
+            v, i = frame
+            row = adj[v]
+            child = None
+            while i < len(row):
+                p = row[i]
+                i += 1
+                w = match_p[p]
+                if w == -1:
+                    if dist[v] + 1 == dist_nil:
+                        frame[1] = i
+                        for u, j in stack:  # flip the path, root to free position
+                            q = adj[u][j - 1]
+                            match_v[u] = q
+                            match_p[q] = u
+                        return True
+                elif dist[w] == dist[v] + 1:
+                    child = w
+                    break
+            frame[1] = i
+            if child is None:
+                dist[v] = INF
+                stack.pop()
+            else:
+                stack.append([child, 0])
         return False
 
     while bfs():
         for v in range(n):
             if match_v[v] == 0 and dist[v] == 0:
-                dfs(v)
+                augment(v)
 
     pairs = tuple((v, match_v[v]) for v in range(n) if match_v[v])
     return Matching(pairs=pairs)
@@ -184,11 +201,12 @@ def approx_bandwidth_alg1(
     max_tries: int = 50,
     record_trace: bool = False,
 ):
-    """Approximate bandwidth via placement enumeration + perfect matching.
+    """Approximate bandwidth via placement search + perfect matching.
 
-    Scans box sizes ascending; for each, enumerates root placements, builds
-    the auxiliary graph, and returns the first perfect matching as a layout
-    together with the winning box size and run statistics.
+    Scans box sizes ascending; for each, searches root placements in
+    lexicographic order (see :mod:`bandapprox.search`), builds the auxiliary
+    graph of the first feasible one, and returns its perfect matching as a
+    layout together with the winning box size and run statistics.
     """
     from .search import run_search
 
