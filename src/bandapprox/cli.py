@@ -1,7 +1,7 @@
 """Command-line front end: generate, exact, approx, verify, bench.
 
-Exit codes: 0 success, 1 usage or input error, 2 infeasible search or
-certification failure, 3 I/O failure.
+Exit codes: 0 success, 1 usage or input error, 2 certification failure
+(or the infeasible-search error, kept as a defensive check), 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ BENCH_HEADER = [
 
 class _Parser(argparse.ArgumentParser):
     """argparse exits 2 on usage errors; this project reserves 2 for
-    infeasibility, so usage errors exit 1 instead."""
+    certification failure, so usage errors exit 1 instead."""
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -78,8 +78,6 @@ class RunReport:
     configs: int
     exact: int | None = None
     ratio: float | None = None
-    linear_boxsize: int | None = None
-    binary_agrees_linear: bool | None = None
     time_certify: float = 0.0
     time_bfs: float = 0.0
     time_scan: float = 0.0
@@ -103,9 +101,6 @@ class RunReport:
         if self.exact is not None:
             out.append(f"exact: {self.exact}")
             out.append(f"ratio: {self.ratio:.4f}")
-        if self.linear_boxsize is not None:
-            out.append(f"linear_boxsize: {self.linear_boxsize}")
-            out.append(f"binary_agrees_linear: {self.binary_agrees_linear}")
         if include_timings:
             out.append(f"time_certify_s: {self.time_certify:.6f}")
             out.append(f"time_bfs_s: {self.time_bfs:.6f}")
@@ -130,22 +125,11 @@ def _read_graph(path: str) -> Graph:
 
 def _run_algorithm(g: Graph, alg: str, seed: int, args) -> tuple:
     params = SamplingParams(alpha=args.alpha, c=args.c, delta=args.delta)
-    common = dict(
-        seed=seed,
-        narrow_range=args.narrow_range,
-        max_tries=args.max_tries,
-    )
+    common = dict(seed=seed, max_tries=args.max_tries)
     if alg == "1":
         return approx_bandwidth_alg1(g, params, use_3hop=not args.no_3hop, **common)
     if alg == "2":
-        return approx_bandwidth_alg2(
-            g,
-            params,
-            use_3hop=not args.no_3hop,
-            search=args.search,
-            verify_monotone=args.verify_monotone,
-            **common,
-        )
+        return approx_bandwidth_alg2(g, params, use_3hop=not args.no_3hop, **common)
     if alg == "baseline":
         return approx_bandwidth_baseline(g, params, **common)
     raise ValueError(f"unknown algorithm {alg!r}")
@@ -165,8 +149,6 @@ def _report_from_stats(g: Graph, stats: SearchStats, boxsize: int, bw: int) -> R
         boxsize=boxsize,
         bandwidth=bw,
         configs=stats.configs_tried,
-        linear_boxsize=stats.linear_boxsize,
-        binary_agrees_linear=stats.binary_agrees_linear,
         time_certify=stats.time_certify,
         time_bfs=stats.time_bfs,
         time_scan=stats.time_scan,
@@ -281,12 +263,6 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
                    help="certification attempts before giving up")
     p.add_argument("--no-3hop", action="store_true",
                    help="drop the three-hop window tightening (wider layouts)")
-    p.add_argument("--narrow-range", action="store_true",
-                   help="scan box sizes only from ceil(delta*n) to n/2")
-    p.add_argument("--search", choices=("linear", "binary"), default="linear",
-                   help="box-size scan strategy for --alg 2 (binary is experimental)")
-    p.add_argument("--verify-monotone", action="store_true",
-                   help="with --search binary, also run the linear scan and report agreement")
 
 
 def build_parser() -> argparse.ArgumentParser:

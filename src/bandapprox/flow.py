@@ -185,8 +185,11 @@ def _check_flow(inst: FlowInstance, value: int, flows: tuple[int, ...]) -> None:
             raise AssertionError(f"conservation violated at node {node}")
 
 
-def flow_to_layout(res: FlowResult, table: IntervalTable, cfg: BoxConfig) -> Layout:
-    """Turn a saturating flow into a layout.
+def flow_to_layout(
+    res: FlowResult, inst: FlowInstance, table: IntervalTable, cfg: BoxConfig
+) -> Layout:
+    """Turn a saturating flow on ``inst``, the instance built from ``table``,
+    into a layout.
 
     For each interval-to-box arc carrying e units, the e lowest-id not yet
     placed vertices of that interval class go to that box; inside a box,
@@ -194,17 +197,13 @@ def flow_to_layout(res: FlowResult, table: IntervalTable, cfg: BoxConfig) -> Lay
     """
     if res.value != cfg.n:
         raise ValueError(f"flow value {res.value} does not saturate n={cfg.n}")
-
-    counts = count_intervals(table)
-    if counts is None:
-        raise ValueError("table has an empty interval; no layout exists")
-    # rebuilding the instance reproduces the arc order arc_flow is aligned to
-    inst = build_flow_instance(counts, cfg)
     if len(res.arc_flow) != len(inst.arcs):
-        raise ValueError("flow result does not match this table's instance")
+        raise ValueError("flow result does not match this instance")
 
     queues: dict[tuple[int, int], deque[int]] = {key: deque() for key in inst.keys}
     for v, iv in enumerate(table.intervals):
+        if iv not in queues:
+            raise ValueError(f"vertex {v} has interval {iv}, not a class of this instance")
         queues[iv].append(v)  # vertex ids ascend, so each class queue does too
 
     k_count = len(inst.keys)
@@ -238,9 +237,6 @@ def approx_bandwidth_alg2(
     seed: int = 0,
     *,
     use_3hop: bool = True,
-    search: str = "linear",
-    verify_monotone: bool = False,
-    narrow_range: bool = False,
     max_tries: int = 50,
     record_trace: bool = False,
 ):
@@ -248,9 +244,7 @@ def approx_bandwidth_alg2(
 
     Same contract and same placement search as the matching pipeline, but
     the winning configuration's layout is extracted by interval counting +
-    max flow, and the box-size scan can optionally bisect
-    (``search="binary"``; experimental, since feasibility is not proven
-    monotone in the box size).
+    max flow.
     """
     from .search import run_search
 
@@ -261,9 +255,6 @@ def approx_bandwidth_alg2(
         backend="flow",
         hop_radius=2,
         use_3hop=use_3hop,
-        search=search,
-        verify_monotone=verify_monotone,
-        narrow_range=narrow_range,
         max_tries=max_tries,
         record_trace=record_trace,
         label="alg2",

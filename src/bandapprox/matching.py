@@ -197,7 +197,6 @@ def approx_bandwidth_alg1(
     seed: int = 0,
     *,
     use_3hop: bool = True,
-    narrow_range: bool = False,
     max_tries: int = 50,
     record_trace: bool = False,
 ):
@@ -217,7 +216,6 @@ def approx_bandwidth_alg1(
         backend="matching",
         hop_radius=2,
         use_3hop=use_3hop,
-        narrow_range=narrow_range,
         max_tries=max_tries,
         record_trace=record_trace,
         label="alg1",
@@ -229,7 +227,6 @@ def approx_bandwidth_baseline(
     params=None,
     seed: int = 0,
     *,
-    narrow_range: bool = False,
     max_tries: int = 50,
     record_trace: bool = False,
 ):
@@ -244,7 +241,6 @@ def approx_bandwidth_baseline(
         backend="matching",
         hop_radius=1,
         use_3hop=False,
-        narrow_range=narrow_range,
         max_tries=max_tries,
         record_trace=record_trace,
         label="baseline",

@@ -1,10 +1,9 @@
 """Shared search over box sizes and root placements driving both back ends.
 
 One driver owns the whole pipeline: measure density, size and certify the
-root sample, run one BFS per root, then scan box sizes (ascending, or by
-bisection) and, for each, walk root placements depth first in lexicographic
-order over the sorted roots, never putting more roots in a box than it has
-positions.
+root sample, run one BFS per root, then scan box sizes ascending and, for
+each, walk root placements depth first in lexicographic order over the
+sorted roots, never putting more roots in a box than it has positions.
 
 Boxes form a line and every vertex may use an interval of boxes, so a
 complete assignment of vertices to positions exists iff every contiguous
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import accumulate
 from typing import Sequence
 
@@ -47,7 +45,6 @@ from .flow import build_flow_instance, count_intervals, flow_to_layout, max_flow
 from .graph import Graph, density
 from .matching import build_auxiliary, matching_to_layout, max_matching, normalize_matching
 from .oracle import Layout, degree_lower_bound
-from .util import ceil_snapped
 
 
 class InfeasibleError(RuntimeError):
@@ -71,8 +68,8 @@ class SearchStats:
     ``pruned_empty`` (some vertex has no admissible box) or else in
     ``pruned_by_hall`` (some box range is over capacity).  ``trace`` holds
     ``(boxsize, boxes, feasible)`` per complete placement, the winner last;
-    ``max_interval_keys`` and ``max_flow_nodes`` describe the flow
-    instances built, one per box size that found a winner.
+    ``max_interval_keys`` and ``max_flow_nodes`` describe the winner's flow
+    instance.
     """
 
     algorithm: str
@@ -83,7 +80,6 @@ class SearchStats:
     c: float
     hop_radius: int
     use_3hop: bool
-    search_mode: str
     root_count: int = 0
     certify_attempts: int = 0
     boxsizes_tried: int = 0
@@ -93,8 +89,6 @@ class SearchStats:
     pruned_by_hall: int = 0
     max_interval_keys: int = 0
     max_flow_nodes: int = 0
-    linear_boxsize: int | None = None
-    binary_agrees_linear: bool | None = None
     trace: list | None = None
     time_certify: float = 0.0
     time_bfs: float = 0.0
@@ -115,19 +109,12 @@ def run_search(
     backend: str,
     hop_radius: int,
     use_3hop: bool,
-    search: str = "linear",
-    verify_monotone: bool = False,
-    narrow_range: bool = False,
     max_tries: int = 50,
     record_trace: bool = False,
     label: str = "",
 ) -> tuple[Layout, int, SearchStats]:
     if backend not in ("matching", "flow"):
         raise ValueError(f"unknown backend {backend!r}")
-    if search not in ("linear", "binary"):
-        raise ValueError(f"unknown search mode {search!r}")
-    if search == "binary" and backend != "flow":
-        raise ValueError("binary box-size search is only wired to the flow back end")
 
     t_start = time.perf_counter()
     if params is None:
@@ -150,7 +137,6 @@ def run_search(
         c=params.c,
         hop_radius=hop_radius,
         use_3hop=use_3hop,
-        search_mode=search,
     )
     if record_trace:
         stats.trace = []
@@ -165,81 +151,21 @@ def run_search(
     dists = root_distances(g, rs)
     stats.time_bfs = time.perf_counter() - t0
 
-    if narrow_range:
-        start = max(1, ceil_snapped(delta * n))
-        stop = n // 2
-    else:
-        start = max(degree_lower_bound(g), 1)
-        stop = n
-
     t0 = time.perf_counter()
     windows = root_windows(rs, dists, use_3hop)
-    scan = partial(_scan_boxsize, g, rs, dists, windows, backend, use_3hop, stats)
-    if search == "linear":
-        result = _linear_scan(scan, start, stop)
-    else:
-        result = _binary_scan(scan, start, stop, stats, verify_monotone)
+    start = max(degree_lower_bound(g), 1)
+    layout = None
+    for boxsize in range(start, n + 1):
+        layout = _scan_boxsize(g, rs, dists, windows, backend, use_3hop, stats, boxsize)
+        if layout is not None:
+            break
     stats.time_scan = time.perf_counter() - t0
     stats.time_total = time.perf_counter() - t_start
 
-    if result is None:
-        raise InfeasibleError(
-            f"no feasible configuration for box sizes {start}..{stop}", stats
-        )
-    layout, boxsize = result
+    # a guard only: box size n is one box holding every vertex, so it fits
+    if layout is None:
+        raise InfeasibleError(f"no feasible configuration for box sizes {start}..{n}", stats)
     return layout, boxsize, stats
-
-
-def _linear_scan(scan, start, stop):
-    for boxsize in range(start, stop + 1):
-        layout = scan(boxsize)
-        if layout is not None:
-            return layout, boxsize
-    return None
-
-
-def _binary_scan(scan, start, stop, stats, verify_monotone):
-    """Bisect the box size assuming feasibility is monotone in it.
-
-    That assumption is unproven, so a failed final probe falls back to
-    scanning upward; with ``verify_monotone`` the linear answer is computed
-    too and the agreement recorded.
-    """
-    result = None
-    lo, hi = start, stop
-    if lo > hi:
-        return None
-    best: tuple | None = None
-    while lo < hi:
-        mid = (lo + hi) // 2
-        layout = scan(mid)
-        if layout is not None:
-            best = (layout, mid)
-            hi = mid
-        else:
-            lo = mid + 1
-    if best is not None and best[1] == lo:
-        result = best
-    else:
-        layout = scan(lo)
-        if layout is not None:
-            result = (layout, lo)
-        else:
-            for boxsize in range(lo + 1, stop + 1):
-                layout = scan(boxsize)
-                if layout is not None:
-                    result = (layout, boxsize)
-                    break
-            if result is None:
-                result = best
-
-    if verify_monotone and result is not None:
-        linear = _linear_scan(scan, start, stop)
-        stats.linear_boxsize = linear[1] if linear is not None else None
-        stats.binary_agrees_linear = (
-            linear is not None and linear[1] == result[1]
-        )
-    return result
 
 
 def _scan_boxsize(g, rs, dists, windows, backend, use_3hop, stats, boxsize):
@@ -432,10 +358,10 @@ def _extract_layout(table, cfg: BoxConfig, backend: str, stats: SearchStats):
     counts = count_intervals(table)
     if counts is None:
         return None
-    stats.max_interval_keys = max(stats.max_interval_keys, len(counts.counts))
+    stats.max_interval_keys = len(counts.counts)
     inst = build_flow_instance(counts, cfg)
-    stats.max_flow_nodes = max(stats.max_flow_nodes, inst.node_count)
+    stats.max_flow_nodes = inst.node_count
     res = max_flow(inst)
     if res.value != cfg.n:
         return None
-    return flow_to_layout(res, table, cfg)
+    return flow_to_layout(res, inst, table, cfg)

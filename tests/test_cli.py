@@ -3,8 +3,12 @@ import io
 import subprocess
 import sys
 
+import pytest
+
+from bandapprox import cli
 from bandapprox.cli import main
 from bandapprox.graph import density, min_degree, parse_graph, serialize_graph
+from bandapprox.search import InfeasibleError
 from helpers import complete_graph, cycle_graph, path_graph
 
 
@@ -12,6 +16,10 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def raise_infeasible(g, alg, seed, args):
+    raise InfeasibleError("no feasible configuration for box sizes 1..1")
 
 
 def write_graph(tmp_path, g, name="g.txt"):
@@ -160,10 +168,19 @@ class TestApprox:
         code, out, _ = run_cli(capsys, "approx", gpath, "--timings", "--seed", "1")
         assert code == 0 and "time_total_s: " in out
 
-    def test_narrow_range_infeasible_exit_code(self, capsys, tmp_path):
+    def test_infeasible_search_exit_code(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_run_algorithm", raise_infeasible)
         gpath = write_graph(tmp_path, complete_graph(8))
-        code, _, err = run_cli(capsys, "approx", gpath, "--narrow-range", "--seed", "1")
+        code, _, err = run_cli(capsys, "approx", gpath, "--seed", "1")
         assert code == 2 and "no feasible configuration" in err
+
+    @pytest.mark.parametrize("flag", [
+        ["--search", "binary"], ["--verify-monotone"], ["--narrow-range"],
+    ])
+    def test_removed_search_flags_are_usage_errors(self, capsys, tmp_path, flag):
+        gpath = write_graph(tmp_path, complete_graph(6))
+        code, _, err = run_cli(capsys, "approx", gpath, *flag)
+        assert code == 1 and "unrecognized arguments" in err
 
     def test_certification_failure_exit_code(self, capsys, tmp_path):
         import bandapprox.graph as bg
@@ -241,15 +258,16 @@ class TestBench:
         header, rows = self.parse_csv(out)
         assert rows == [] and header[0] == "n"
 
-    def test_failed_runs_keep_their_row(self, capsys):
-        # narrow range on a near-complete instance is infeasible
+    def test_failed_runs_keep_their_row(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "_run_algorithm", raise_infeasible)
         code, out, _ = run_cli(
             capsys, "bench", "--sizes", "6", "--seeds", "0", "--algs", "2",
-            "--delta-gen", "0.9", "--narrow-range",
+            "--delta-gen", "0.9",
         )
         assert code == 0
         _, rows = self.parse_csv(out)
         assert len(rows) == 1
+        assert rows[0][:4] == ["6", "0.9", "0", "2"]
         assert rows[0][-1] == "InfeasibleError"
 
     def test_out_file(self, capsys, tmp_path):

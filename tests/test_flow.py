@@ -131,16 +131,16 @@ class TestFlowToLayout:
     def test_single_box_identity_order(self):
         cfg = make_box_config(4, 4)
         table = synthetic_table([(1, 1)] * 4, cfg)
-        res = max_flow(build_flow_instance(count_intervals(table), cfg))
-        assert flow_to_layout(res, table, cfg).pos == (1, 2, 3, 4)
+        inst = build_flow_instance(count_intervals(table), cfg)
+        assert flow_to_layout(max_flow(inst), inst, table, cfg).pos == (1, 2, 3, 4)
 
     def test_split_class_prefers_low_ids_in_early_box(self):
         cfg = make_box_config(6, 3)
         # vertices 0..2 are flexible (boxes 1..2), 3 pinned to box 1,
         # 4 and 5 pinned to box 2: the class must split 2/1
         table = synthetic_table([(1, 2), (1, 2), (1, 2), (1, 1), (2, 2), (2, 2)], cfg)
-        res = max_flow(build_flow_instance(count_intervals(table), cfg))
-        layout = flow_to_layout(res, table, cfg)
+        inst = build_flow_instance(count_intervals(table), cfg)
+        layout = flow_to_layout(max_flow(inst), inst, table, cfg)
         assert {cfg.box_of(layout.pos[v]) for v in (0, 1)} == {1}
         assert cfg.box_of(layout.pos[2]) == 2
 
@@ -174,10 +174,30 @@ class TestFlowToLayout:
     def test_rejects_non_saturating(self):
         cfg = make_box_config(4, 3)
         table = synthetic_table([(1, 1)] * 4, cfg)
-        res = max_flow(build_flow_instance(count_intervals(table), cfg))
+        inst = build_flow_instance(count_intervals(table), cfg)
+        res = max_flow(inst)
         assert res.value == 3
-        with pytest.raises(ValueError):
-            flow_to_layout(res, table, cfg)
+        with pytest.raises(ValueError, match="saturate"):
+            flow_to_layout(res, inst, table, cfg)
+
+    def test_rejects_flow_of_another_instance(self):
+        cfg = make_box_config(4, 2)
+        table = synthetic_table([(1, 1), (1, 1), (2, 2), (2, 2)], cfg)
+        other = build_flow_instance(IntervalCounts({(1, 2): 4}), cfg)
+        inst = build_flow_instance(count_intervals(table), cfg)
+        with pytest.raises(ValueError, match="does not match"):
+            flow_to_layout(max_flow(other), inst, table, cfg)
+
+    def test_rejects_interval_outside_instance(self):
+        cfg = make_box_config(4, 2)
+        table = synthetic_table([(1, 1), (1, 1), (1, 2), (1, 2)], cfg)
+        # as many arcs as the table's own instance, but class (2, 2) for (1, 1)
+        inst = build_flow_instance(IntervalCounts({(1, 2): 2, (2, 2): 2}), cfg)
+        res = max_flow(inst)
+        assert res.value == 4
+        assert len(inst.arcs) == len(build_flow_instance(count_intervals(table), cfg).arcs)
+        with pytest.raises(ValueError, match=r"vertex 0 has interval \(1, 1\)"):
+            flow_to_layout(res, inst, table, cfg)
 
 
 class TestPipeline:
@@ -194,29 +214,9 @@ class TestPipeline:
         assert b1 == b2
         assert s1.trace == s2.trace
 
-    def test_binary_agrees_with_linear_on_monotone_instance(self):
-        g = complete_graph(12)
-        layout, boxsize, stats = approx_bandwidth_alg2(
-            g, seed=2, search="binary", verify_monotone=True
-        )
-        assert stats.binary_agrees_linear is True
-        assert stats.linear_boxsize == boxsize
-        assert layout_bandwidth(g, layout) == 11
-
-    def test_binary_mode_returns_valid_layout(self):
-        for seed in range(6):
-            g = gen_dense_random(15, 0.4, seed)
-            layout, boxsize, stats = approx_bandwidth_alg2(g, seed=seed, search="binary")
-            assert layout_bandwidth(g, layout) >= 1
-            assert 1 <= boxsize <= g.n
-
-    def test_binary_mode_rejected_for_matching_backend(self):
-        from bandapprox.search import run_search
-
-        g = complete_graph(6)
-        with pytest.raises(ValueError):
-            run_search(g, None, 0, backend="matching", hop_radius=2,
-                       use_3hop=True, search="binary")
+    def test_box_size_search_has_no_modes(self):
+        with pytest.raises(TypeError):
+            approx_bandwidth_alg2(complete_graph(6), search="binary")
 
     def test_instance_size_independent_of_n(self):
         sizes = {}

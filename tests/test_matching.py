@@ -10,6 +10,7 @@ from bandapprox.boxes import (
     root_distances,
 )
 from bandapprox.domset import RootSet, sample_certified
+from bandapprox.flow import approx_bandwidth_alg2
 from bandapprox.graph import gen_dense_random, make_graph
 from bandapprox.matching import (
     AuxGraph,
@@ -23,7 +24,6 @@ from bandapprox.matching import (
     normalize_matching,
 )
 from bandapprox.oracle import exact_bandwidth, layout_bandwidth
-from bandapprox.search import InfeasibleError
 from helpers import brute_force_matching_size, complete_graph
 
 
@@ -148,10 +148,13 @@ class TestMatchingToLayout:
 
 class TestPipeline:
     def test_complete_graph(self):
-        g = complete_graph(9)
-        layout, boxsize, stats = approx_bandwidth_alg1(g, seed=3)
-        assert layout_bandwidth(g, layout) == 8
-        assert stats.configs_tried >= 1
+        for n in (9, 12):
+            g = complete_graph(n)
+            for approx in (approx_bandwidth_alg1, approx_bandwidth_alg2,
+                           approx_bandwidth_baseline):
+                layout, boxsize, stats = approx(g, seed=3)
+                assert layout_bandwidth(g, layout) == n - 1
+                assert stats.configs_tried >= 1
 
     def test_ratio_bound_small_dense(self):
         for seed in range(12):
@@ -204,12 +207,6 @@ class TestPipeline:
             layout, _, stats = approx_bandwidth_baseline(g, seed=seed)
             assert stats.hop_radius == 1
             assert layout_bandwidth(g, layout) <= 4 * exact  # 3x nominal + 1 slack
-
-    def test_narrow_range_can_be_infeasible(self):
-        # K_n needs boxsize n-1 but the narrow scan stops at n/2
-        g = complete_graph(8)
-        with pytest.raises(InfeasibleError):
-            approx_bandwidth_alg1(g, seed=0, narrow_range=True)
 
     def test_isolated_vertex_rejected(self):
         g = make_graph(4, [(0, 1), (1, 2)])

@@ -168,8 +168,9 @@ def reference_layout(table, cfg, backend):
     counts = count_intervals(table)
     if counts is None:
         return None
-    res = max_flow(build_flow_instance(counts, cfg))
-    return flow_to_layout(res, table, cfg) if res.value == cfg.n else None
+    inst = build_flow_instance(counts, cfg)
+    res = max_flow(inst)
+    return flow_to_layout(res, inst, table, cfg) if res.value == cfg.n else None
 
 
 def exhaustive_winner(g, rs, backend, use_3hop):
