@@ -70,12 +70,6 @@ class FlowInstance:
     def sink(self) -> int:
         return len(self.keys) + self.b + 1
 
-    def key_node(self, idx: int) -> int:
-        return 1 + idx
-
-    def box_node(self, box: int) -> int:
-        return 1 + len(self.keys) + (box - 1)
-
 
 @dataclass(frozen=True)
 class FlowResult:

@@ -4,7 +4,6 @@ measurement, and deterministic generation of dense random instances."""
 from __future__ import annotations
 
 import random
-from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import sqrt
@@ -40,11 +39,6 @@ class Graph:
     def degree(self, v: int) -> int:
         return len(self.adj[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        row = self.adj[u]
-        i = bisect_left(row, v)
-        return i < len(row) and row[i] == v
-
 
 @dataclass(frozen=True)
 class DistanceMap:
@@ -68,6 +62,31 @@ class DistanceMap:
         return worst
 
 
+def _add_edge(seen: set[tuple[int, int]], n: int, u: int, v: int) -> None:
+    """Add edge ``(u, v)`` to ``seen`` as ``(min, max)``; ``ValueError`` on
+    an id outside ``0..n-1``, a self-loop or a duplicate."""
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"edge ({u}, {v}) out of range 0..{n - 1}")
+    if u == v:
+        raise ValueError(f"self-loop at vertex {u}")
+    key = (u, v) if u < v else (v, u)
+    if key in seen:
+        raise ValueError(f"duplicate edge {key}")
+    seen.add(key)
+
+
+def _graph_of(n: int, seen: set[tuple[int, int]]) -> Graph:
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in seen:
+        adj[u].append(v)
+        adj[v].append(u)
+    return Graph(
+        n=n,
+        edges=tuple(sorted(seen)),
+        adj=tuple(tuple(sorted(row)) for row in adj),
+    )
+
+
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge iterable, validating simplicity.
 
@@ -77,23 +96,9 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     if n < 1:
         raise ValueError("vertex count must be at least 1")
     seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-        if u == v:
-            raise ValueError(f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise ValueError(f"duplicate edge {key}")
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-    return Graph(
-        n=n,
-        edges=tuple(sorted(seen)),
-        adj=tuple(tuple(sorted(row)) for row in adj),
-    )
+        _add_edge(seen, n, u, v)
+    return _graph_of(n, seen)
 
 
 def parse_graph(text: str) -> Graph:
@@ -119,12 +124,10 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError(1, "edge count must be nonnegative")
 
     seen: set[tuple[int, int]] = set()
-    adj: list[list[int]] = [[] for _ in range(n)]
-    count = 0
     for line_no, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
-        if count == m:
+        if len(seen) == m:
             raise GraphParseError(line_no, f"more than {m} edge lines")
         parts = raw.split()
         if len(parts) != 2:
@@ -133,24 +136,13 @@ def parse_graph(text: str) -> Graph:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
             raise GraphParseError(line_no, f"expected two integers, got {raw!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(line_no, f"vertex id out of range 0..{n - 1}")
-        if u == v:
-            raise GraphParseError(line_no, f"self-loop at vertex {u}")
-        key = (u, v) if u < v else (v, u)
-        if key in seen:
-            raise GraphParseError(line_no, f"duplicate edge {key}")
-        seen.add(key)
-        adj[u].append(v)
-        adj[v].append(u)
-        count += 1
-    if count != m:
-        raise GraphParseError(len(lines) + 1, f"expected {m} edge lines, found {count}")
-    return Graph(
-        n=n,
-        edges=tuple(sorted(seen)),
-        adj=tuple(tuple(sorted(row)) for row in adj),
-    )
+        try:
+            _add_edge(seen, n, u, v)
+        except ValueError as exc:
+            raise GraphParseError(line_no, str(exc)) from None
+    if len(seen) != m:
+        raise GraphParseError(len(lines) + 1, f"expected {m} edge lines, found {len(seen)}")
+    return _graph_of(n, seen)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -173,14 +173,16 @@ def box_gap_violations(
     ``(u, v, gap, gamma)`` tuples; empty on every layout the two-hop
     pipeline emits.
     """
-    if table.near_window != 2 or table.far_window is None:
+    near, _, near_window, far_window = table.windows
+    if near_window != 2 or far_window is None:
         raise ValueError("gap analysis applies to two-hop tables with the "
                          "three-hop tightening enabled")
     boxes = table.placement.as_mapping()
-    root_set = set(table.roots)
-    designated = [
-        v if v in root_set else min(table.near[v]) for v in range(g.n)
-    ]
+    # a root designates itself, any other vertex its lowest root within two hops
+    designated = {v: v for v in boxes}
+    for u, members in sorted(zip(table.placement.roots, near)):
+        for v in members:
+            designated.setdefault(v, u)
     out = []
     for u, v in g.edges:
         gap = abs(cfg.box_of(layout.pos[u]) - cfg.box_of(layout.pos[v]))

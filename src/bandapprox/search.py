@@ -18,6 +18,13 @@ interval table built and the chosen back end (Hopcroft-Karp matching or
 compressed max flow) run, to extract the layout; a back end that disagrees
 with the Hall test raises ``AssertionError``.
 
+The walk's prefix and the Hall test,
+:class:`~bandapprox.boxes.PlacementPrefix` and
+:func:`~bandapprox.boxes.hall_violation`, live in :mod:`bandapprox.boxes`
+next to the window rule: ``PlacementPrefix.place`` is the one code that
+intersects root windows, for the walk and for the winner's interval table
+alike.
+
 A *config* (``SearchStats.configs_tried``, the ``configs`` of reports and
 bench rows) is a complete placement the walk reached, feasible or not.
 """
@@ -26,11 +33,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from itertools import accumulate
-from typing import Sequence
 
 from .boxes import (
     BoxConfig,
+    PlacementPrefix,
     RootPlacement,
     build_intervals,
     make_box_config,
@@ -94,11 +100,6 @@ class SearchStats:
     time_bfs: float = 0.0
     time_scan: float = 0.0
     time_total: float = 0.0
-
-    @property
-    def empty_interval_configs(self) -> int:
-        """Placement prefixes cut for an empty interval (``pruned_empty``)."""
-        return self.pruned_empty
 
 
 def run_search(
@@ -184,130 +185,6 @@ def _scan_boxsize(g, rs, dists, windows, backend, use_3hop, stats, boxsize):
             "which the Hall test accepts"
         )
     return layout
-
-
-def hall_violation(count: Sequence[Sequence[int]], cum: Sequence[int]) -> tuple[int, int] | None:
-    """First box range ``(i, j)`` holding more intervals than it has room
-    for, or ``None`` when every contiguous range passes.
-
-    ``count[lo][hi]`` is the number of vertices whose interval is exactly
-    ``lo..hi`` (1-based, row and column 0 unused) and ``cum[j]`` the total
-    capacity of boxes ``1..j`` (``cum[0] == 0``).  Since each interval is
-    contiguous, passing every range is equivalent to every vertex fitting
-    in its boxes at once.  Ranges are tried by descending ``i``, then
-    ascending ``j``, in O(b^2).
-    """
-    b = len(cum) - 1
-    inside = [0] * (b + 1)  # inside[j]: intervals with lo >= i and hi <= j
-    for i in range(b, 0, -1):
-        row = count[i]
-        before = cum[i - 1]
-        run = 0
-        for j in range(i, b + 1):
-            run += row[j]
-            inside[j] += run
-            if inside[j] > cum[j] - before:
-                return i, j
-    return None
-
-
-class PlacementPrefix:
-    """Every vertex's box interval under a partial root placement.
-
-    ``boxes[d]`` is root ``d``'s box, 0 while unplaced.  ``lo``/``hi`` hold
-    the non-root vertices' intervals, the intersection of the windows of the
-    placed roots that constrain them (``near[d]``/``far[d]`` list those of
-    root ``d``, as :func:`~bandapprox.boxes.root_windows` gives them), and
-    ``count`` is the histogram the Hall test reads: each placed root pinned
-    to ``(k, k)``, each unplaced one counted as ``(1, b)`` and empty
-    intervals left out (``empty`` counts them).  Roots are placed and
-    retracted last in, first out; each placement costs O(window of the root).
-    """
-
-    def __init__(
-        self,
-        n: int,
-        cfg: BoxConfig,
-        near: Sequence[Sequence[int]],
-        far: Sequence[Sequence[int]],
-        near_window: int,
-        far_window: int | None,
-    ) -> None:
-        b = cfg.b
-        self.cfg = cfg
-        self.near = near
-        self.far = far
-        self.near_window = near_window
-        self.far_window = far_window
-        self.cum = list(accumulate(cfg.capacities, initial=0))
-        self.boxes = [0] * len(near)
-        self.load = [0] * (b + 1)
-        self.lo = [1] * n
-        self.hi = [b] * n
-        self.count = [[0] * (b + 1) for _ in range(b + 1)]
-        self.count[1][b] = n
-        self.empty = 0
-        self._undo: list[list[tuple[int, int, int]]] = [[] for _ in near]
-
-    def has_room(self, box: int) -> bool:
-        return self.load[box] < self.cfg.capacities[box - 1]
-
-    def place(self, d: int, box: int) -> None:
-        lo, hi, count = self.lo, self.hi, self.count
-        changed = self._undo[d]
-        for members, width in ((self.near[d], self.near_window), (self.far[d], self.far_window)):
-            if not members:
-                continue
-            a, z = box - width, box + width
-            for v in members:
-                lv, hv = lo[v], hi[v]
-                if a <= lv and hv <= z:
-                    continue
-                changed.append((v, lv, hv))
-                nl = a if a > lv else lv
-                nh = z if z < hv else hv
-                lo[v] = nl
-                hi[v] = nh
-                if lv <= hv:
-                    count[lv][hv] -= 1
-                    if nl <= nh:
-                        count[nl][nh] += 1
-                    else:
-                        self.empty += 1
-        count[1][self.cfg.b] -= 1
-        count[box][box] += 1
-        self.load[box] += 1
-        self.boxes[d] = box
-
-    def retract(self, d: int) -> None:
-        lo, hi, count = self.lo, self.hi, self.count
-        changed = self._undo[d]
-        for v, lv, hv in reversed(changed):
-            nl, nh = lo[v], hi[v]
-            if lv <= hv:
-                if nl <= nh:
-                    count[nl][nh] -= 1
-                else:
-                    self.empty -= 1
-                count[lv][hv] += 1
-            lo[v] = lv
-            hi[v] = hv
-        changed.clear()
-        box = self.boxes[d]
-        count[box][box] -= 1
-        count[1][self.cfg.b] += 1
-        self.load[box] -= 1
-        self.boxes[d] = 0
-
-    def cut(self) -> str | None:
-        """Why no completion of this prefix is feasible (``"empty"`` or
-        ``"hall"``), or ``None`` if it may have one.  Exact once every root
-        is placed."""
-        if self.empty:
-            return "empty"
-        if hall_violation(self.count, self.cum) is not None:
-            return "hall"
-        return None
 
 
 def _first_feasible_placement(prefix: PlacementPrefix, stats: SearchStats):

@@ -10,33 +10,68 @@ from __future__ import annotations
 import random
 
 from bandapprox.boxes import BoxConfig, IntervalTable, RootPlacement
+from bandapprox.domset import RootSet
 from bandapprox.flow import FlowInstance
 from bandapprox.graph import Graph, make_graph
 
 
 def synthetic_table(intervals, cfg: BoxConfig, near_window=2, far_window=3) -> IntervalTable:
-    """IntervalTable with given intervals and no dominator records; enough
-    for auxiliary-graph building, counting, and conversion, none of which
-    consult the records."""
-    n = len(intervals)
+    """IntervalTable with given intervals and roots that constrain nothing;
+    enough for auxiliary-graph building, counting, and conversion, none of
+    which consult the windows."""
     roots = tuple(
         v for v, iv in enumerate(intervals) if iv is not None and iv[0] == iv[1]
     )
     placement = RootPlacement(roots=roots, boxes=tuple(intervals[r][0] for r in roots))
+    nothing = ((),) * len(roots)
     return IntervalTable(
         cfg=cfg,
-        roots=roots,
         placement=placement,
         intervals=tuple(intervals),
-        near=((),) * n,
-        far=((),) * n,
-        near_window=near_window,
-        far_window=far_window,
+        windows=(nothing, nothing, near_window, far_window),
     )
+
+
+def reference_intervals(g: Graph, rs: RootSet, rp: RootPlacement, cfg: BoxConfig,
+                        dists, use_3hop: bool = True):
+    """Every vertex's box interval under a complete placement, derived vertex
+    by vertex straight from hop distances: a root sits in its own box; any
+    other vertex lies within ``hop_radius`` boxes of each root at most
+    ``hop_radius`` hops away and, for two-hop roots with the tightening on,
+    within 3 boxes of each root at exactly 3 hops.  ``None`` marks an empty
+    intersection."""
+    boxes = rp.as_mapping()
+    out = []
+    for v in range(g.n):
+        if v in boxes:
+            out.append((boxes[v], boxes[v]))
+            continue
+        lo, hi = 1, cfg.b
+        for u in rs.roots:
+            d = dists[u][v]
+            if d is None:
+                continue
+            if d <= rs.hop_radius:
+                width = rs.hop_radius
+            elif use_3hop and rs.hop_radius == 2 and d == 3:
+                width = 3
+            else:
+                continue
+            lo, hi = max(lo, boxes[u] - width), min(hi, boxes[u] + width)
+        out.append((lo, hi) if lo <= hi else None)
+    return tuple(out)
 
 
 def path_graph(n: int) -> Graph:
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def planted_band(n: int, w: int, seed: int) -> Graph:
+    """The w-th power of a path on n vertices, relabeled at random."""
+    label = list(range(n))
+    random.Random(seed).shuffle(label)
+    edges = [(label[i], label[j]) for i in range(n) for j in range(i + 1, min(n, i + w + 1))]
+    return make_graph(n, edges)
 
 
 def cycle_graph(n: int) -> Graph:

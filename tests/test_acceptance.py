@@ -15,6 +15,7 @@ from bandapprox.boxes import (
     enumerate_placements,
     make_box_config,
     root_distances,
+    root_windows,
     update_intervals,
 )
 from bandapprox.domset import SamplingParams, is_dominating, kprime_size, sample_certified, sample_rootset
@@ -33,7 +34,14 @@ from bandapprox.matching import (
 )
 from bandapprox.oracle import enumerate_bandwidth, exact_bandwidth, layout_bandwidth
 from bandapprox.util import ceil_snapped
-from helpers import complete_graph, cycle_graph, er_graph, path_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    er_graph,
+    path_graph,
+    planted_band,
+    reference_intervals,
+)
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -205,27 +213,35 @@ class TestAcceptance:
         rng = _random.Random(99)
         checked = 0
         mismatches = 0
-        g = gen_dense_random(24, 0.4, 77)
-        rs = sample_certified(g, 3, seed=1)
-        dists = root_distances(g, rs)
-        while checked < 1000:
-            boxsize = rng.randrange(max(1, exact_lower(g)), g.n + 1)
-            cfg = make_box_config(g.n, boxsize)
-            placements = list(enumerate_placements(rs, cfg))
-            current = rng.choice(placements)
-            table = build_intervals(g, rs, current, cfg, dists)
-            for _ in range(min(40, 1000 - checked)):
-                target = rng.choice(placements)
-                table = update_intervals(table, current, target)
-                current = target
-                fresh = build_intervals(g, rs, current, cfg, dists)
-                if table.intervals != fresh.intervals:
-                    mismatches += 1
-                checked += 1
+        three_hop = 0
+        # the dense graph has diameter 2; the path power puts vertices three
+        # hops from a root, so its tables also use the +/-3 windows
+        for g in (gen_dense_random(24, 0.4, 77), planted_band(24, 3, 0)):
+            rs = sample_certified(g, 3, seed=1)
+            dists = root_distances(g, rs)
+            three_hop += sum(map(len, root_windows(rs, dists)[1]))
+            checked_here = 0
+            while checked_here < 1000:
+                boxsize = rng.randrange(max(1, exact_lower(g)), g.n + 1)
+                cfg = make_box_config(g.n, boxsize)
+                placements = list(enumerate_placements(rs, cfg))
+                current = rng.choice(placements)
+                table = build_intervals(g, rs, current, cfg, dists)
+                for _ in range(min(40, 1000 - checked_here)):
+                    target = rng.choice(placements)
+                    table = update_intervals(table, current, target)
+                    current = target
+                    fresh = build_intervals(g, rs, current, cfg, dists)
+                    reference = reference_intervals(g, rs, current, cfg, dists)
+                    if not table.intervals == fresh.intervals == reference:
+                        mismatches += 1
+                    checked_here += 1
+            checked += checked_here
         report(
             7, "interval-update-equivalence",
-            mismatches == 0,
-            f"{checked} transitions, exact equality",
+            mismatches == 0 and three_hop > 0,
+            f"{checked} transitions on two graphs, equal to a fresh build and the "
+            f"reference derivation; {three_hop} vertex-root pairs at three hops",
         )
 
     def test_8_determinism(self):

@@ -10,12 +10,13 @@ from bandapprox.boxes import (
     enumerate_placements,
     make_box_config,
     root_distances,
+    root_windows,
     update_intervals,
 )
 from bandapprox.domset import RootSet, sample_certified
 from bandapprox.graph import gen_dense_random, make_graph
 from bandapprox.oracle import exact_bandwidth
-from helpers import path_graph
+from helpers import path_graph, planted_band, reference_intervals
 
 
 def subdivided_star():
@@ -129,6 +130,30 @@ class TestBuildIntervals:
         for root, box in zip(rp.roots, rp.boxes):
             assert table.intervals[root] == (box, box)
 
+    def test_unconstrained_vertex_raises(self):
+        # vertex 3 is three hops from the only root: certified by mistake
+        g = path_graph(5)
+        rs = RootSet(roots=(0,), hop_radius=2, certified=True)
+        cfg = make_box_config(5, 1)
+        with pytest.raises(AssertionError, match="vertex 3 unconstrained"):
+            build_intervals(
+                g, rs, RootPlacement(roots=(0,), boxes=(1,)), cfg, root_distances(g, rs)
+            )
+
+    @pytest.mark.parametrize("hop_radius,use_3hop", [(2, True), (2, False), (1, False)])
+    def test_matches_reference_derivation(self, hop_radius, use_3hop):
+        graphs = [gen_dense_random(16, 0.4, 500 + seed) for seed in range(4)]
+        if hop_radius == 2:  # path powers put vertices three hops from a root
+            graphs += [planted_band(16, 3, seed) for seed in range(2)]
+        for seed, g in enumerate(graphs):
+            rs = sample_certified(g, 3, seed=seed, hop_radius=hop_radius)
+            dists = root_distances(g, rs)
+            for boxsize in (2, 3, 5):
+                cfg = make_box_config(g.n, boxsize)
+                for rp in enumerate_placements(rs, cfg):
+                    table = build_intervals(g, rs, rp, cfg, dists, use_3hop=use_3hop)
+                    assert table.intervals == reference_intervals(g, rs, rp, cfg, dists, use_3hop)
+
     def test_uncertified_rejected(self):
         g = path_graph(5)
         rs = RootSet(roots=(0,), hop_radius=2, certified=False)
@@ -213,9 +238,7 @@ class TestUpdateIntervals:
         assert table.intervals[2] == (1, 5)
         assert shifted.intervals[2] == (2, 6)
 
-    @pytest.mark.parametrize("seed", range(6))
-    def test_update_equals_fresh_build(self, seed):
-        g, rs, cfg, dists = self._setup(seed)
+    def _random_updates(self, g, rs, cfg, dists, seed):
         rng = random.Random(seed)
         placements = list(enumerate_placements(rs, cfg))
         current = placements[0]
@@ -223,9 +246,22 @@ class TestUpdateIntervals:
         for _ in range(25):
             target = rng.choice(placements)
             table = update_intervals(table, current, target)
-            fresh = build_intervals(g, rs, target, cfg, dists)
-            assert table.intervals == fresh.intervals
+            assert table.intervals == reference_intervals(g, rs, target, cfg, dists)
             current = target
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_update_equals_fresh_build(self, seed):
+        self._random_updates(*self._setup(seed), seed)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_update_with_three_hop_windows(self, seed):
+        # a path power has vertices three hops from a root, unlike the
+        # dense graphs of _setup, so the +/-3 windows take part
+        g = planted_band(18, 3, seed)
+        rs = sample_certified(g, 3, seed=seed)
+        dists = root_distances(g, rs)
+        assert any(root_windows(rs, dists)[1])
+        self._random_updates(g, rs, make_box_config(g.n, 3), dists, seed)
 
     def test_exhaustive_small_instance(self):
         g, rs, cfg, dists = self._setup(3, n=12, boxsize=4)
@@ -236,7 +272,7 @@ class TestUpdateIntervals:
         for rp in placements:
             table = update_intervals(table, current, rp)
             current = rp
-            assert table.intervals == build_intervals(g, rs, rp, cfg, dists).intervals
+            assert table.intervals == reference_intervals(g, rs, rp, cfg, dists)
 
     def test_mismatch_errors(self):
         g, rs, cfg, dists = self._setup(1)

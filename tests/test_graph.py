@@ -180,6 +180,16 @@ class TestMakeGraph:
         with pytest.raises(ValueError):
             make_graph(3, [(0, 3)])
 
+    @pytest.mark.parametrize("edges", [[(0, 3)], [(-1, 0)], [(2, 2)], [(0, 1), (1, 0)]])
+    def test_parse_graph_applies_the_same_rules(self, edges):
+        with pytest.raises(ValueError) as made:
+            make_graph(3, edges)
+        text = f"3 {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        with pytest.raises(GraphParseError) as parsed:
+            parse_graph(text)
+        assert parsed.value.line_no == len(edges) + 1
+        assert str(parsed.value) == f"line {len(edges) + 1}: {made.value}"
+
     def test_adjacency_symmetric_and_sorted(self):
         g = make_graph(4, [(2, 0), (3, 1), (0, 1)])
         for u in range(4):

@@ -3,10 +3,11 @@
 The Hall test is checked against max flow, every cut the walk can make
 against brute force over the cut prefix's completions, and the winning
 (box size, placement, layout) of all four pipelines against the
-exhaustive scan over every placement that the walk replaced.
+exhaustive scan over every placement that the walk replaced.  The
+references derive intervals with ``helpers.reference_intervals``, not with
+the prefix code under test.
 """
 
-import random
 from itertools import accumulate
 
 import pytest
@@ -14,8 +15,9 @@ from hypothesis import given, settings, strategies as st
 
 from bandapprox.boxes import (
     BoxConfig,
-    build_intervals,
+    PlacementPrefix,
     enumerate_placements,
+    hall_violation,
     make_box_config,
     root_distances,
     root_windows,
@@ -29,7 +31,7 @@ from bandapprox.flow import (
     flow_to_layout,
     max_flow,
 )
-from bandapprox.graph import gen_dense_random, make_graph
+from bandapprox.graph import gen_dense_random
 from bandapprox.matching import (
     approx_bandwidth_alg1,
     approx_bandwidth_baseline,
@@ -39,7 +41,7 @@ from bandapprox.matching import (
     normalize_matching,
 )
 from bandapprox.oracle import degree_lower_bound
-from bandapprox.search import PlacementPrefix, hall_violation
+from helpers import planted_band, reference_intervals, synthetic_table
 
 # (name, pipeline, keyword arguments, back end, three-hop tightening)
 VARIANTS = (
@@ -48,14 +50,6 @@ VARIANTS = (
     ("alg1", approx_bandwidth_alg1, {}, "matching", True),
     ("baseline", approx_bandwidth_baseline, {}, "matching", False),
 )
-
-
-def planted_band(n, w, seed):
-    """The w-th power of a path on n vertices, relabeled at random."""
-    label = list(range(n))
-    random.Random(seed).shuffle(label)
-    edges = [(label[i], label[j]) for i in range(n) for j in range(i + 1, min(n, i + w + 1))]
-    return make_graph(n, edges)
 
 
 def histogram(intervals, b):
@@ -106,27 +100,34 @@ def matching_feasible(table, cfg):
 
 def brute_force_cases():
     """Small graphs whose every placement is cheap to decide, for each of
-    the three window rules."""
+    the three window rules.  The dense graphs have diameter 2, so only the
+    planted path powers put vertices three hops from a root."""
     for idx in range(8):
         n = 8 + idx % 4
         g = gen_dense_random(n, 0.5, 4100 + idx)
         for hop_radius, use_3hop in ((2, True), (2, False), (1, False)):
             rs = sample_certified(g, 3, seed=idx, hop_radius=hop_radius)
             yield g, rs, use_3hop
+    for idx in range(4):
+        g = planted_band(10 + idx % 2, 2, idx)
+        for use_3hop in (True, False):
+            yield g, sample_certified(g, 3, seed=idx), use_3hop
 
 
 class TestPlacementPrefix:
     def test_cuts_are_sound_and_exact_at_leaves(self):
-        prefixes = cut = 0
+        prefixes = cut = three_hop = 0
         for g, rs, use_3hop in brute_force_cases():
             dists = root_distances(g, rs)
             windows = root_windows(rs, dists, use_3hop)
+            three_hop += sum(map(len, windows[1]))
             k = len(rs.roots)
             for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
                 cfg = make_box_config(g.n, boxsize)
                 feasible = {
                     rp.boxes: matching_feasible(
-                        build_intervals(g, rs, rp, cfg, dists, use_3hop=use_3hop), cfg
+                        synthetic_table(reference_intervals(g, rs, rp, cfg, dists, use_3hop), cfg),
+                        cfg,
                     )
                     for rp in enumerate_placements(rs, cfg)
                 }
@@ -157,7 +158,7 @@ class TestPlacementPrefix:
                 visit(0)
                 assert (prefix.lo, prefix.hi, prefix.count) == fresh
                 assert prefix.boxes == [0] * k and prefix.empty == 0
-        assert cut > 0 and prefixes > cut
+        assert cut > 0 and prefixes > cut and three_hop > 0
 
 
 def reference_layout(table, cfg, backend):
@@ -179,7 +180,7 @@ def exhaustive_winner(g, rs, backend, use_3hop):
     for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
         cfg = make_box_config(g.n, boxsize)
         for rp in enumerate_placements(rs, cfg):
-            table = build_intervals(g, rs, rp, cfg, dists, use_3hop=use_3hop)
+            table = synthetic_table(reference_intervals(g, rs, rp, cfg, dists, use_3hop), cfg)
             layout = reference_layout(table, cfg, backend)
             if layout is not None:
                 return boxsize, rp.boxes, layout
