@@ -68,7 +68,6 @@ from .oracle import (
     Layout,
     OracleCapError,
     degree_lower_bound,
-    enumerate_bandwidth,
     exact_bandwidth,
     format_layout,
     layout_bandwidth,
@@ -109,7 +108,6 @@ __all__ = [
     "count_intervals",
     "degree_lower_bound",
     "density",
-    "enumerate_bandwidth",
     "enumerate_placements",
     "exact_bandwidth",
     "flow_to_layout",

@@ -15,7 +15,8 @@ vertices each root constrains and by how many boxes, and
 :mod:`bandapprox.search` walks placements with a :class:`PlacementPrefix`;
 :func:`build_intervals` and :func:`update_intervals` place a whole
 placement into a fresh one.  :func:`enumerate_placements` lists every
-placement in the order that search visits them.
+placement in the order that search visits them, and :func:`root_twins`
+names the roots whose windows agree, whose boxes the search may sort.
 """
 
 from __future__ import annotations
@@ -136,11 +137,12 @@ def root_windows(
     near_window = rs.hop_radius
     far_window = 3 if (use_3hop and rs.hop_radius == 2) else None
     root_set = set(rs.roots)
+    non_roots = [v for v in range(len(dists[rs.roots[0]])) if v not in root_set]
     near: list[tuple[int, ...]] = []
     far: list[tuple[int, ...]] = []
     for u in rs.roots:
         du = dists[u]
-        others = [v for v in range(len(du)) if v not in root_set and du[v] is not None]
+        others = [v for v in non_roots if du[v] is not None]
         near.append(tuple(v for v in others if du[v] <= near_window))
         far.append(
             tuple(v for v in others if du[v] == near_window + 1)
@@ -148,6 +150,28 @@ def root_windows(
             else ()
         )
     return tuple(near), tuple(far), near_window, far_window
+
+
+def root_twins(rs: RootSet, dists: Mapping[int, Sequence[int | None]]) -> tuple[int, ...]:
+    """For each root (aligned with ``rs.roots``), the index of the last
+    earlier root that is its closed twin, or -1.
+
+    Two roots are closed twins when their balls of radius ``rs.hop_radius``
+    agree, roots included: then every vertex falls in the same window class
+    for both, since a ball ``B`` also fixes the next layer ``N(B) - B`` that
+    the far window covers.  Swapping the boxes of two twins changes no
+    interval and no box load, so a placement is feasible iff the one with
+    each twin class's boxes sorted is.
+    """
+    # maps each hop distance inside the ball to True; others (and None) miss
+    in_ball = dict.fromkeys(range(rs.hop_radius + 1), True)
+    last: dict[tuple, int] = {}
+    twins = []
+    for d, u in enumerate(rs.roots):
+        ball = tuple(map(in_ball.get, dists[u]))
+        twins.append(last.get(ball, -1))
+        last[ball] = d
+    return tuple(twins)
 
 
 def hall_violation(count: Sequence[Sequence[int]], cum: Sequence[int]) -> tuple[int, int] | None:

@@ -208,23 +208,28 @@ def gen_dense_random(n: int, delta: float, seed: int) -> Graph:
     required = min(ceil_snapped(delta * n), n - 1)
     p = min(1.0, delta + 3.0 * sqrt(delta * (1.0 - delta) / n))
     rng = random.Random(seed)
+    rnd = rng.random
 
-    neighbors: list[set[int]] = [set() for _ in range(n)]
+    # row u gets its lower neighbors while u is still ahead of the loop and
+    # its higher ones in its own turn, so every row comes out sorted
+    rows: list[list[int]] = [[] for _ in range(n)]
     for u in range(n):
-        for v in range(u + 1, n):
-            if rng.random() < p:
-                neighbors[u].add(v)
-                neighbors[v].add(u)
-    for v in range(n):
-        while len(neighbors[v]) < required:
-            pool = [w for w in range(n) if w != v and w not in neighbors[v]]
-            w = rng.choice(pool)
-            neighbors[v].add(w)
-            neighbors[w].add(v)
+        higher = [v for v in range(u + 1, n) if rnd() < p]
+        for v in higher:
+            rows[v].append(u)
+        rows[u].extend(higher)
+    if any(len(row) < required for row in rows):
+        neighbors = [set(row) for row in rows]
+        for v in range(n):
+            while len(neighbors[v]) < required:
+                pool = [w for w in range(n) if w != v and w not in neighbors[v]]
+                w = rng.choice(pool)
+                neighbors[v].add(w)
+                neighbors[w].add(v)
+        rows = [sorted(row) for row in neighbors]
 
-    edges = tuple(sorted((u, v) for u in range(n) for v in neighbors[u] if u < v))
     return Graph(
         n=n,
-        edges=edges,
-        adj=tuple(tuple(sorted(row)) for row in neighbors),
+        edges=tuple((u, v) for u in range(n) for v in rows[u] if u < v),
+        adj=tuple(map(tuple, rows)),
     )

@@ -1,22 +1,17 @@
 """Exact bandwidth computation at desk scale, plus layout utilities.
 
-Two independent exact solvers live here: a branch-and-bound search over
-layout prefixes (the default, usable up to ``DEFAULT_ORACLE_CAP`` vertices)
-and a vectorized scan of all permutations used to cross-check it on very
-small graphs.  They share no search logic.
+The exact solver is a branch-and-bound search over layout prefixes,
+usable up to ``DEFAULT_ORACLE_CAP`` vertices; the tests cross-check it
+against an independent scan of every permutation on very small graphs.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-
-import numpy as np
 
 from .graph import Graph
 
 DEFAULT_ORACLE_CAP = 14
-ENUMERATION_CAP = 10
 
 
 class OracleCapError(ValueError):
@@ -162,46 +157,6 @@ def _layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None
     if dfs(1):
         return tuple(pos)
     return None
-
-
-_perm_tables: dict[int, np.ndarray] = {}
-
-
-def _perm_table(n: int) -> np.ndarray:
-    """All permutations of range(n) as one int8 array, cached per n."""
-    arr = _perm_tables.get(n)
-    if arr is None:
-        chunks = []
-        it = itertools.permutations(range(n))
-        while True:
-            chunk = list(itertools.islice(it, 200_000))
-            if not chunk:
-                break
-            chunks.append(np.array(chunk, dtype=np.int8))
-        arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-        _perm_tables[n] = arr
-    return arr
-
-
-def enumerate_bandwidth(g: Graph, cap: int = ENUMERATION_CAP) -> int:
-    """Exact bandwidth by scanning every permutation (n <= 10).
-
-    Independent of :func:`exact_bandwidth`; kept as the second opinion that
-    the branch-and-bound answers are checked against.
-    """
-    n = g.n
-    if n > cap:
-        raise OracleCapError(n, cap)
-    if g.m == 0:
-        return 0
-    perms = _perm_table(n)
-    best = np.zeros(len(perms), dtype=np.int8)
-    tmp = np.empty(len(perms), dtype=np.int8)
-    for u, v in g.edges:
-        np.subtract(perms[:, u], perms[:, v], out=tmp)
-        np.abs(tmp, out=tmp)
-        np.maximum(best, tmp, out=best)
-    return int(best.min())
 
 
 def format_layout(layout: Layout) -> str:

@@ -18,6 +18,16 @@ interval table built and the chosen back end (Hopcroft-Karp matching or
 compressed max flow) run, to extract the layout; a back end that disagrees
 with the Hall test raises ``AssertionError``.
 
+Roots whose hop balls agree are twins (:func:`~bandapprox.boxes.root_twins`):
+they constrain every vertex alike, so swapping their boxes changes no
+interval and no load, and sorting the boxes of each twin class keeps a
+feasible placement feasible while making it no later in lexicographic
+order.  The walk therefore starts each root at its previous twin's box and
+visits only twin-ordered placements; the first feasible one is the same.
+On a diameter-2 graph every root is a twin of every other, so a box size
+with ``b`` boxes has at most ``C(k'+b-1, b-1)`` complete placements, the box
+multisets, instead of ``b**k'``.
+
 The walk's prefix and the Hall test,
 :class:`~bandapprox.boxes.PlacementPrefix` and
 :func:`~bandapprox.boxes.hall_violation`, live in :mod:`bandapprox.boxes`
@@ -26,7 +36,8 @@ intersects root windows, for the walk and for the winner's interval table
 alike.
 
 A *config* (``SearchStats.configs_tried``, the ``configs`` of reports and
-bench rows) is a complete placement the walk reached, feasible or not.
+bench rows) is a complete twin-ordered placement the walk reached,
+feasible or not.
 """
 
 from __future__ import annotations
@@ -41,6 +52,7 @@ from .boxes import (
     build_intervals,
     make_box_config,
     root_distances,
+    root_twins,
     root_windows,
 )
 # Not called here; bound because perfbench/tracer.py wraps these names in
@@ -68,10 +80,10 @@ class SearchStats:
     Everything except the ``time_*`` fields is deterministic for a fixed
     seed, which is what report byte-identity tests rely on.
 
-    ``nodes_visited`` counts the placement prefixes the walk tried (one root
-    more each), complete ones included; ``configs_tried`` the complete
-    placements among them.  Each node failing its test counts once, in
-    ``pruned_empty`` (some vertex has no admissible box) or else in
+    ``nodes_visited`` counts the twin-ordered placement prefixes the walk
+    tried (one root more each), complete ones included; ``configs_tried``
+    the complete placements among them.  Each node failing its test counts
+    once, in ``pruned_empty`` (some vertex has no admissible box) or else in
     ``pruned_by_hall`` (some box range is over capacity).  ``trace`` holds
     ``(boxsize, boxes, feasible)`` per complete placement, the winner last;
     ``max_interval_keys`` and ``max_flow_nodes`` describe the winner's flow
@@ -154,10 +166,11 @@ def run_search(
 
     t0 = time.perf_counter()
     windows = root_windows(rs, dists, use_3hop)
+    twins = root_twins(rs, dists)
     start = max(degree_lower_bound(g), 1)
     layout = None
     for boxsize in range(start, n + 1):
-        layout = _scan_boxsize(g, rs, dists, windows, backend, use_3hop, stats, boxsize)
+        layout = _scan_boxsize(g, rs, dists, windows, twins, backend, use_3hop, stats, boxsize)
         if layout is not None:
             break
     stats.time_scan = time.perf_counter() - t0
@@ -169,11 +182,11 @@ def run_search(
     return layout, boxsize, stats
 
 
-def _scan_boxsize(g, rs, dists, windows, backend, use_3hop, stats, boxsize):
+def _scan_boxsize(g, rs, dists, windows, twins, backend, use_3hop, stats, boxsize):
     cfg = make_box_config(g.n, boxsize)
     stats.boxsizes_tried += 1
     prefix = PlacementPrefix(g.n, cfg, *windows)
-    boxes = _first_feasible_placement(prefix, stats)
+    boxes = _first_feasible_placement(prefix, twins, stats)
     if boxes is None:
         return None
     rp = RootPlacement(roots=rs.roots, boxes=boxes)
@@ -187,11 +200,17 @@ def _scan_boxsize(g, rs, dists, windows, backend, use_3hop, stats, boxsize):
     return layout
 
 
-def _first_feasible_placement(prefix: PlacementPrefix, stats: SearchStats):
-    """Depth-first walk over capacity-respecting root placements in
-    lexicographic order, cutting every prefix :meth:`PlacementPrefix.cut`
-    rules out; the boxes of the first complete placement that passes, or
-    ``None``."""
+def _first_feasible_placement(
+    prefix: PlacementPrefix, twins: tuple[int, ...], stats: SearchStats
+):
+    """Depth-first walk over capacity-respecting, twin-ordered root
+    placements in lexicographic order, cutting every prefix
+    :meth:`PlacementPrefix.cut` rules out; the boxes of the first complete
+    placement that passes, or ``None``.
+
+    Root ``d`` starts at the box of its previous twin ``twins[d]`` (see
+    :func:`~bandapprox.boxes.root_twins`), so each twin class takes its
+    boxes in non-decreasing order."""
     boxes = prefix.boxes
     k = len(boxes)
     b = prefix.cfg.b
@@ -200,7 +219,9 @@ def _first_feasible_placement(prefix: PlacementPrefix, stats: SearchStats):
         box = boxes[d]
         if box:
             prefix.retract(d)
-        box += 1
+            box += 1
+        else:
+            box = boxes[twins[d]] if twins[d] >= 0 else 1
         while box <= b and not prefix.has_room(box):
             box += 1
         if box > b:

@@ -1,18 +1,28 @@
 """Graph builders and independent oracles shared across the test modules.
 
 Every oracle here is deliberately naive (Floyd-Warshall, exhaustive
-matching enumeration, cut enumeration) so that the fast implementations
-are checked against something that cannot share their bugs.
+matching enumeration, cut enumeration, a scan of every permutation) so
+that the fast implementations are checked against something that cannot
+share their bugs.  ``frozen_gen_dense_random`` keeps the first version of
+the graph generator, which the current one must reproduce exactly.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from math import sqrt
+
+import numpy as np
 
 from bandapprox.boxes import BoxConfig, IntervalTable, RootPlacement
 from bandapprox.domset import RootSet
 from bandapprox.flow import FlowInstance
 from bandapprox.graph import Graph, make_graph
+from bandapprox.oracle import OracleCapError
+from bandapprox.util import ceil_snapped
+
+ENUMERATION_CAP = 10
 
 
 def synthetic_table(intervals, cfg: BoxConfig, near_window=2, far_window=3) -> IntervalTable:
@@ -159,3 +169,76 @@ def min_cut_value(inst: FlowInstance) -> int:
             best = cut
     assert best is not None
     return best
+
+
+_perm_tables: dict[int, np.ndarray] = {}
+
+
+def _perm_table(n: int) -> np.ndarray:
+    """All permutations of range(n) as one int8 array, cached per n."""
+    arr = _perm_tables.get(n)
+    if arr is None:
+        chunks = []
+        it = itertools.permutations(range(n))
+        while True:
+            chunk = list(itertools.islice(it, 200_000))
+            if not chunk:
+                break
+            chunks.append(np.array(chunk, dtype=np.int8))
+        arr = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        _perm_tables[n] = arr
+    return arr
+
+
+def enumerate_bandwidth(g: Graph, cap: int = ENUMERATION_CAP) -> int:
+    """Exact bandwidth by scanning every permutation (n <= 10).
+
+    Independent of ``oracle.exact_bandwidth``; the second opinion that the
+    branch-and-bound answers are checked against.
+    """
+    n = g.n
+    if n > cap:
+        raise OracleCapError(n, cap)
+    if g.m == 0:
+        return 0
+    perms = _perm_table(n)
+    best = np.zeros(len(perms), dtype=np.int8)
+    tmp = np.empty(len(perms), dtype=np.int8)
+    for u, v in g.edges:
+        np.subtract(perms[:, u], perms[:, v], out=tmp)
+        np.abs(tmp, out=tmp)
+        np.maximum(best, tmp, out=best)
+    return int(best.min())
+
+
+def frozen_gen_dense_random(n: int, delta: float, seed: int, top_ups=None) -> Graph:
+    """``graph.gen_dense_random`` as first written, set-based with a final
+    sort, frozen so the faster generator can be checked to draw the same
+    graphs.  Appends the number of top-up edges to ``top_ups`` if given."""
+    required = min(ceil_snapped(delta * n), n - 1)
+    p = min(1.0, delta + 3.0 * sqrt(delta * (1.0 - delta) / n))
+    rng = random.Random(seed)
+
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                neighbors[u].add(v)
+                neighbors[v].add(u)
+    added = 0
+    for v in range(n):
+        while len(neighbors[v]) < required:
+            pool = [w for w in range(n) if w != v and w not in neighbors[v]]
+            w = rng.choice(pool)
+            neighbors[v].add(w)
+            neighbors[w].add(v)
+            added += 1
+    if top_ups is not None:
+        top_ups.append(added)
+
+    edges = tuple(sorted((u, v) for u in range(n) for v in neighbors[u] if u < v))
+    return Graph(
+        n=n,
+        edges=edges,
+        adj=tuple(tuple(sorted(row)) for row in neighbors),
+    )

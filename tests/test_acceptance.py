@@ -32,11 +32,12 @@ from bandapprox.matching import (
     build_auxiliary,
     max_matching,
 )
-from bandapprox.oracle import enumerate_bandwidth, exact_bandwidth, layout_bandwidth
+from bandapprox.oracle import exact_bandwidth, layout_bandwidth
 from bandapprox.util import ceil_snapped
 from helpers import (
     complete_graph,
     cycle_graph,
+    enumerate_bandwidth,
     er_graph,
     path_graph,
     planted_band,

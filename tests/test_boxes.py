@@ -10,13 +10,20 @@ from bandapprox.boxes import (
     enumerate_placements,
     make_box_config,
     root_distances,
+    root_twins,
     root_windows,
     update_intervals,
 )
 from bandapprox.domset import RootSet, sample_certified
 from bandapprox.graph import gen_dense_random, make_graph
 from bandapprox.oracle import exact_bandwidth
-from helpers import path_graph, planted_band, reference_intervals
+from helpers import (
+    complete_graph,
+    floyd_warshall_from_set,
+    path_graph,
+    planted_band,
+    reference_intervals,
+)
 
 
 def subdivided_star():
@@ -284,3 +291,38 @@ class TestUpdateIntervals:
         if stranger.roots != rs.roots:
             with pytest.raises(ValueError, match="mismatch"):
                 update_intervals(table, placements[0], stranger)
+
+
+def every_vertex_a_root(g, hop_radius=2):
+    return RootSet(roots=tuple(range(g.n)), hop_radius=hop_radius, certified=True)
+
+
+class TestRootTwins:
+    @pytest.mark.parametrize("n,seed", [(49, 43), (50, 0), (58, 4)])
+    def test_diameter_two_roots_form_one_class(self, n, seed):
+        g = gen_dense_random(n, 0.3, seed)
+        assert max(max(floyd_warshall_from_set(g, [v])) for v in range(g.n)) == 2
+        rs = sample_certified(g, 8, seed=seed)
+        assert root_twins(rs, root_distances(g, rs)) == tuple(range(-1, 7))
+
+    def test_one_hop_windows_of_a_complete_graph(self):
+        g = complete_graph(6)
+        rs = every_vertex_a_root(g, hop_radius=1)
+        assert root_twins(rs, root_distances(g, rs)) == tuple(range(-1, 5))
+
+    def test_planted_band_pairs_its_middle_vertices(self):
+        # in the 6th power of a 24-vertex path only the two middle vertices
+        # reach every vertex within two hops, and no other two-hop ball
+        # repeats
+        g = planted_band(24, 6, 0)
+        middle = [v for v in range(g.n) if max(floyd_warshall_from_set(g, [v])) == 2]
+        assert len(middle) == 2
+        rs = every_vertex_a_root(g)
+        twins = root_twins(rs, root_distances(g, rs))
+        assert [(d, t) for d, t in enumerate(twins) if t >= 0] == [(middle[1], middle[0])]
+
+    @pytest.mark.parametrize("hop_radius", [1, 2])
+    def test_path_has_no_twins(self, hop_radius):
+        g = path_graph(12)
+        rs = every_vertex_a_root(g, hop_radius)
+        assert root_twins(rs, root_distances(g, rs)) == (-1,) * 12

@@ -296,3 +296,19 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+    def test_runs_without_numpy(self, tmp_path):
+        # numpy is a test dependency only: with its import failing, the
+        # package still imports and generate and approx (alg 2) still run
+        graph = str(tmp_path / "g.txt")
+        script = (
+            "import sys\n"
+            "sys.modules['numpy'] = None\n"
+            "import bandapprox\n"
+            "from bandapprox.cli import main\n"
+            f"assert main(['generate', '50', '0.3', '1', '--out', {graph!r}]) == 0\n"
+            f"sys.exit(main(['approx', {graph!r}]))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert "algorithm: alg2" in proc.stdout and "bandwidth: " in proc.stdout

@@ -13,7 +13,14 @@ from bandapprox.graph import (
     parse_graph,
     serialize_graph,
 )
-from helpers import complete_graph, cycle_graph, empty_graph, er_graph, path_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    er_graph,
+    frozen_gen_dense_random,
+    path_graph,
+)
 
 
 class TestParse:
@@ -161,6 +168,16 @@ class TestGenerator:
         a = gen_dense_random(25, 0.4, 11)
         b = gen_dense_random(25, 0.4, 11)
         assert a.edges == b.edges
+
+    def test_draws_the_frozen_generators_graphs(self):
+        top_ups: list[int] = []
+        for n in (2, 3, 9, 13, 20, 31, 50, 64):
+            for delta in (0.05, 0.2, 0.35, 0.6, 0.9):
+                for seed in range(6):
+                    expected = frozen_gen_dense_random(n, delta, seed, top_ups)
+                    assert gen_dense_random(n, delta, seed) == expected, (n, delta, seed)
+        # both branches are covered: drawn alone and topped up
+        assert 0 < sum(1 for added in top_ups if added) < len(top_ups)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):

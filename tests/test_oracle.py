@@ -7,13 +7,20 @@ from bandapprox.oracle import (
     Layout,
     OracleCapError,
     degree_lower_bound,
-    enumerate_bandwidth,
     exact_bandwidth,
     format_layout,
     layout_bandwidth,
     parse_layout,
 )
-from helpers import complete_graph, cycle_graph, empty_graph, er_graph, path_graph, star_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    empty_graph,
+    enumerate_bandwidth,
+    er_graph,
+    path_graph,
+    star_graph,
+)
 
 
 def identity_layout(n):

@@ -3,12 +3,16 @@
 The Hall test is checked against max flow, every cut the walk can make
 against brute force over the cut prefix's completions, and the winning
 (box size, placement, layout) of all four pipelines against the
-exhaustive scan over every placement that the walk replaced.  The
-references derive intervals with ``helpers.reference_intervals``, not with
-the prefix code under test.
+exhaustive scan over every placement that the walk replaced.  Twin floors
+are checked by brute force (swapping twins never changes a verdict) and
+against the walk without them.  The references derive intervals with
+``helpers.reference_intervals``, not with the prefix code under test.
 """
 
+from collections import Counter
+from dataclasses import replace
 from itertools import accumulate
+from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +24,10 @@ from bandapprox.boxes import (
     hall_violation,
     make_box_config,
     root_distances,
+    root_twins,
     root_windows,
 )
-from bandapprox.domset import sample_certified
+from bandapprox.domset import RootSet, sample_certified
 from bandapprox.flow import (
     IntervalCounts,
     approx_bandwidth_alg2,
@@ -31,7 +36,7 @@ from bandapprox.flow import (
     flow_to_layout,
     max_flow,
 )
-from bandapprox.graph import gen_dense_random
+from bandapprox.graph import gen_dense_random, make_graph
 from bandapprox.matching import (
     approx_bandwidth_alg1,
     approx_bandwidth_baseline,
@@ -222,3 +227,94 @@ class TestWalkOrder:
             assert stats.trace[-1][2] is True
             assert not any(ok for _, _, ok in stats.trace[:-1])
             assert stats.configs_tried == len(stats.trace) <= stats.nodes_visited
+
+
+def hall_verdict(intervals, cfg):
+    """Whether every vertex fits in its boxes at once, by the Hall test."""
+    if None in intervals:
+        return False
+    cum = list(accumulate(cfg.capacities, initial=0))
+    return hall_violation(histogram(intervals, cfg.b), cum) is None
+
+
+def twin_classes(twins):
+    """Root indices grouped by twin class, from ``root_twins``' links."""
+    head = []
+    for d, t in enumerate(twins):
+        head.append(d if t < 0 else head[t])
+    classes: dict[int, list[int]] = {}
+    for d, h in enumerate(head):
+        classes.setdefault(h, []).append(d)
+    return list(classes.values())
+
+
+def floor_free_winner(g, rs, use_3hop=True):
+    """First feasible (box size, boxes) of the walk without twin floors:
+    every root tries every box from 1 up."""
+    windows = root_windows(rs, root_distances(g, rs), use_3hop)
+    for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
+        prefix = PlacementPrefix(g.n, make_box_config(g.n, boxsize), *windows)
+        boxes, k, b = prefix.boxes, len(prefix.boxes), prefix.cfg.b
+        d = 0
+        while d >= 0:
+            box = boxes[d]
+            if box:
+                prefix.retract(d)
+            box += 1
+            while box <= b and not prefix.has_room(box):
+                box += 1
+            if box > b:
+                d -= 1
+                continue
+            prefix.place(d, box)
+            cut = prefix.cut()
+            if d == k - 1 and cut is None:
+                return boxsize, tuple(boxes)
+            if d < k - 1 and cut is None:
+                d += 1
+    return None
+
+
+# dense-scan-shaped (n, graph seed): delta 0.3, diameter 2, b0 = 4 boxes at
+# the first box size and k' = 7, 7, 7, 8, 8, 8, 9, 9, 10, 10 roots
+DENSE_SCAN_SHAPED = ((49, 43), (50, 2), (58, 4), (49, 14), (50, 12), (58, 12),
+                     (49, 0), (50, 16), (50, 0), (50, 42))
+
+
+class TestTwinFloors:
+    def test_swapping_twins_keeps_the_hall_verdict(self):
+        # 4th power of a 12-vertex path: 3, 5 and 8 reach every vertex within
+        # two hops, 0 and 11 do not, and 0 and 11 see vertices three hops off
+        g = make_graph(12, [(i, j) for i in range(12) for j in range(i + 1, min(12, i + 5))])
+        rs = RootSet(roots=(0, 3, 5, 8, 11), hop_radius=2, certified=True)
+        dists = root_distances(g, rs)
+        classes = twin_classes(root_twins(rs, dists))
+        assert sorted(map(len, classes)) == [1, 1, 3]
+        pairs = [(c[i], c[j]) for c in classes for i in range(len(c)) for j in range(i + 1, len(c))]
+        verdicts = Counter()
+        for boxsize in (3, 4):
+            cfg = make_box_config(g.n, boxsize)
+            for rp in enumerate_placements(rs, cfg):
+                ok = hall_verdict(reference_intervals(g, rs, rp, cfg, dists), cfg)
+                verdicts[ok] += 1
+                for d, e in pairs:
+                    boxes = list(rp.boxes)
+                    boxes[d], boxes[e] = boxes[e], boxes[d]
+                    swapped = replace(rp, boxes=tuple(boxes))
+                    assert hall_verdict(reference_intervals(g, rs, swapped, cfg, dists), cfg) == ok
+        assert verdicts[True] and verdicts[False]
+
+    @pytest.mark.parametrize("n,gseed", DENSE_SCAN_SHAPED, ids=[f"n{n}-{s}" for n, s in DENSE_SCAN_SHAPED])
+    def test_dense_scan_shaped_winner_and_multiset_bound(self, n, gseed):
+        g = gen_dense_random(n, 0.3, gseed)
+        layout, boxsize, stats = approx_bandwidth_alg2(g, seed=0, record_trace=True)
+        rs = sample_certified(g, stats.root_count, seed=0)
+        k = len(rs.roots)
+        # diameter 2: every root's two-hop ball is the whole graph
+        assert root_twins(rs, root_distances(g, rs)) == tuple(range(-1, k - 1))
+        assert floor_free_winner(g, rs) == (boxsize, stats.trace[-1][1])
+        configs = Counter(size for size, _, _ in stats.trace)
+        for size, tried in configs.items():
+            b = make_box_config(n, size).b
+            assert tried <= comb(k + b - 1, b - 1), (size, tried)
+        assert all(list(boxes) == sorted(boxes) for _, boxes, _ in stats.trace)
