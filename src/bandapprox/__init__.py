@@ -57,7 +57,6 @@ from .matching import (
     Matching,
     approx_bandwidth_alg1,
     approx_bandwidth_baseline,
-    box_gap_violations,
     build_auxiliary,
     matching_to_layout,
     max_matching,
@@ -101,7 +100,6 @@ __all__ = [
     "approx_bandwidth_alg2",
     "approx_bandwidth_baseline",
     "bfs_from_set",
-    "box_gap_violations",
     "build_auxiliary",
     "build_flow_instance",
     "build_intervals",

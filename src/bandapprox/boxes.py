@@ -11,8 +11,15 @@ each root at exactly three hops.  For the one-hop baseline the window is
 
 The window rule lives in two places only: :func:`root_windows` says which
 vertices each root constrains and by how many boxes, and
-:meth:`PlacementPrefix.place` intersects the windows.  The search in
-:mod:`bandapprox.search` walks placements with a :class:`PlacementPrefix`;
+:meth:`PlacementPrefix.place` intersects the windows.  Non-root vertices
+that every root sees alike (near, far or outside its windows) always get
+the same interval, so :func:`root_windows` groups them into classes and
+the windows list one representative per class; the prefix weighs each
+class by its size in the Hall histogram and expands it back to vertices
+only when it reads off an interval table.  On a diameter-2 graph every
+non-root lies in every root's near window, so there is one class.  The
+search in :mod:`bandapprox.search` walks placements with a
+:class:`PlacementPrefix` and reads the winner's table off it;
 :func:`build_intervals` and :func:`update_intervals` place a whole
 placement into a fresh one.  :func:`enumerate_placements` lists every
 placement in the order that search visits them, and :func:`root_twins`
@@ -22,7 +29,7 @@ names the roots whose windows agree, whose boxes the search may sort.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate
+from itertools import accumulate, repeat
 from typing import Iterator, Mapping, Sequence
 
 from .domset import RootSet
@@ -87,9 +94,14 @@ def enumerate_placements(rs: RootSet, cfg: BoxConfig) -> Iterator[RootPlacement]
     yield from rec(0)
 
 
-# ``(near, far, near_window, far_window)`` as :func:`root_windows` gives it
+# ``(near, far, near_window, far_window, classes)`` as :func:`root_windows`
+# gives it
 RootWindows = tuple[
-    tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...], int, int | None
+    tuple[tuple[int, ...], ...],
+    tuple[tuple[int, ...], ...],
+    int,
+    int | None,
+    tuple[tuple[int, ...], ...],
 ]
 
 
@@ -117,39 +129,94 @@ def root_distances(g: Graph, rs: RootSet) -> dict[int, tuple[int | None, ...]]:
     return {u: bfs_from_set(g, (u,)).dist for u in rs.roots}
 
 
+def _hop_masks(
+    rs: RootSet, dists: Mapping[int, Sequence[int | None]]
+) -> list[tuple[int, int]]:
+    """Per root (aligned with ``rs.roots``), the bitmasks of the vertices
+    within ``rs.hop_radius`` hops of it (its ball, itself included) and of
+    those at exactly ``rs.hop_radius + 1`` hops."""
+    digit = dict.fromkeys(range(rs.hop_radius + 1), "1")
+    digit[rs.hop_radius + 1] = "2"
+    ball_only = str.maketrans("2", "0")
+    ring_only = str.maketrans("12", "01")
+    masks = []
+    for u in rs.roots:
+        # one digit per vertex, vertex n-1 first; unreachable vertices read 0
+        digits = "".join(map(digit.get, reversed(dists[u]), repeat("0")))
+        masks.append((int(digits.translate(ball_only), 2), int(digits.translate(ring_only), 2)))
+    return masks
+
+
+def _members(mask: int) -> tuple[int, ...]:
+    """The set bits of ``mask``, ascending."""
+    bits = bin(mask)[:1:-1]  # bits[v] == "1" iff bit v is set
+    members = []
+    v = bits.find("1")
+    while v >= 0:
+        members.append(v)
+        v = bits.find("1", v + 1)
+    return tuple(members)
+
+
 def root_windows(
     rs: RootSet,
     dists: Mapping[int, Sequence[int | None]],
     use_3hop: bool = True,
 ) -> RootWindows:
-    """``(near, far, near_window, far_window)``: which vertices each root
-    constrains, and by how many boxes.
+    """``(near, far, near_window, far_window, classes)``: which vertices
+    each root constrains, and by how many boxes.
 
     A vertex within ``near_window = rs.hop_radius`` hops of a root stays
     within that many boxes of it, one at exactly ``near_window + 1`` hops
     within ``far_window = 3`` boxes; ``far_window`` is ``None`` when the
-    three-hop tightening is off or the roots are one-hop.  ``near[d]`` and
-    ``far[d]`` list those non-root vertices for root ``d`` (aligned with
-    ``rs.roots``; ``far[d]`` is empty without the tightening).  Roots are
-    left out: they are pinned to their own box instead.  Only
-    :meth:`PlacementPrefix.place` intersects these windows.
+    three-hop tightening is off or the roots are one-hop.  Roots are left
+    out: they are pinned to their own box instead.
+
+    The non-root vertices are grouped into ``classes``: two share a class
+    iff every root holds both in its near window, both in its far window or
+    neither, so they get the same interval under every placement.  Each
+    class is a tuple of its members, ascending, and is represented by its
+    first member; the classes are sorted by representative.  ``near[d]``
+    and ``far[d]`` list the representatives of the classes root ``d``
+    (aligned with ``rs.roots``) holds in each window; ``far[d]`` is empty
+    without the tightening.  The classes come from partition refinement
+    over the roots' window bitmasks.  Only :meth:`PlacementPrefix.place`
+    intersects these windows.
     """
     near_window = rs.hop_radius
     far_window = 3 if (use_3hop and rs.hop_radius == 2) else None
-    root_set = set(rs.roots)
-    non_roots = [v for v in range(len(dists[rs.roots[0]])) if v not in root_set]
-    near: list[tuple[int, ...]] = []
-    far: list[tuple[int, ...]] = []
+    k = len(rs.roots)
+    n = len(dists[rs.roots[0]])
+    if k == n:  # nothing left to constrain
+        return ((),) * k, ((),) * k, near_window, far_window, ()
+    non_roots = (1 << n) - 1
     for u in rs.roots:
-        du = dists[u]
-        others = [v for v in non_roots if du[v] is not None]
-        near.append(tuple(v for v in others if du[v] <= near_window))
-        far.append(
-            tuple(v for v in others if du[v] == near_window + 1)
-            if far_window is not None
-            else ()
-        )
-    return tuple(near), tuple(far), near_window, far_window
+        non_roots ^= 1 << u
+    windows = [
+        (ball & non_roots, ring & non_roots if far_window is not None else 0)
+        for ball, ring in _hop_masks(rs, dists)
+    ]
+    blocks = [non_roots]
+    for near_mask, far_mask in windows:
+        outside = ~(near_mask | far_mask)
+        blocks = [
+            part
+            for block in blocks
+            for part in (block & near_mask, block & far_mask, block & outside)
+            if part
+        ]
+    blocks.sort(key=lambda block: block & -block)  # by lowest member
+    classes = tuple(map(_members, blocks))
+    reps = [members[0] for members in classes]
+    near = tuple(
+        tuple(r for r, block in zip(reps, blocks) if block & near_mask)
+        for near_mask, _ in windows
+    )
+    far = tuple(
+        tuple(r for r, block in zip(reps, blocks) if block & far_mask)
+        for _, far_mask in windows
+    )
+    return near, far, near_window, far_window, classes
 
 
 def root_twins(rs: RootSet, dists: Mapping[int, Sequence[int | None]]) -> tuple[int, ...]:
@@ -161,14 +228,12 @@ def root_twins(rs: RootSet, dists: Mapping[int, Sequence[int | None]]) -> tuple[
     for both, since a ball ``B`` also fixes the next layer ``N(B) - B`` that
     the far window covers.  Swapping the boxes of two twins changes no
     interval and no box load, so a placement is feasible iff the one with
-    each twin class's boxes sorted is.
+    each twin class's boxes sorted is.  Each root is keyed by its ball's
+    bitmask.
     """
-    # maps each hop distance inside the ball to True; others (and None) miss
-    in_ball = dict.fromkeys(range(rs.hop_radius + 1), True)
-    last: dict[tuple, int] = {}
+    last: dict[int, int] = {}
     twins = []
-    for d, u in enumerate(rs.roots):
-        ball = tuple(map(in_ball.get, dists[u]))
+    for d, (ball, _) in enumerate(_hop_masks(rs, dists)):
         twins.append(last.get(ball, -1))
         last[ball] = d
     return tuple(twins)
@@ -203,15 +268,18 @@ class PlacementPrefix:
     """Every vertex's box interval under a partial root placement.
 
     ``boxes[d]`` is root ``d``'s box, 0 while unplaced.  ``lo``/``hi`` hold
-    the non-root vertices' intervals, the intersection of the windows of the
-    placed roots that constrain them (``near[d]``/``far[d]`` list those of
-    root ``d``, as :func:`root_windows` gives them).  :meth:`place` is the
-    one code that intersects root windows: the search walks placements with
-    it and :func:`build_intervals` places whole placements with it.
-    ``count`` is the histogram the Hall test reads: each placed root pinned
-    to ``(k, k)``, each unplaced one counted as ``(1, b)`` and empty
-    intervals left out (``empty`` counts them).  Roots are placed and
-    retracted last in, first out; each placement costs O(window of the root).
+    the intervals of the non-root classes, indexed by representative: the
+    intersection of the windows of the placed roots that constrain the
+    class (``near[d]``/``far[d]`` list those of root ``d``, and ``classes``
+    the members of each, as :func:`root_windows` gives them).  :meth:`place`
+    is the one code that intersects root windows: the search walks
+    placements with it and :func:`build_intervals` places whole placements
+    with it.  ``count`` is the histogram the Hall test reads, in vertices:
+    each class weighs its size, each placed root is pinned to ``(k, k)``,
+    each unplaced one counted as ``(1, b)`` and empty intervals left out
+    (``empty`` counts their vertices).  Roots are placed and retracted last
+    in, first out; each placement costs O(classes the root constrains),
+    one step for all non-roots on a diameter-2 graph.
     """
 
     def __init__(
@@ -222,6 +290,7 @@ class PlacementPrefix:
         far: Sequence[Sequence[int]],
         near_window: int,
         far_window: int | None,
+        classes: Sequence[Sequence[int]],
     ) -> None:
         b = cfg.b
         self.cfg = cfg
@@ -229,11 +298,15 @@ class PlacementPrefix:
         self.far = far
         self.near_window = near_window
         self.far_window = far_window
+        self.classes = classes
         self.cum = list(accumulate(cfg.capacities, initial=0))
         self.boxes = [0] * len(near)
         self.load = [0] * (b + 1)
         self.lo = [1] * n
         self.hi = [b] * n
+        self.weight = [0] * n
+        for members in classes:
+            self.weight[members[0]] = len(members)
         self.count = [[0] * (b + 1) for _ in range(b + 1)]
         self.count[1][b] = n
         self.empty = 0
@@ -243,7 +316,7 @@ class PlacementPrefix:
         return self.load[box] < self.cfg.capacities[box - 1]
 
     def place(self, d: int, box: int) -> None:
-        lo, hi, count = self.lo, self.hi, self.count
+        lo, hi, count, weight = self.lo, self.hi, self.count, self.weight
         changed = self._undo[d]
         for members, width in ((self.near[d], self.near_window), (self.far[d], self.far_window)):
             if not members:
@@ -259,27 +332,29 @@ class PlacementPrefix:
                 lo[v] = nl
                 hi[v] = nh
                 if lv <= hv:
-                    count[lv][hv] -= 1
+                    w = weight[v]
+                    count[lv][hv] -= w
                     if nl <= nh:
-                        count[nl][nh] += 1
+                        count[nl][nh] += w
                     else:
-                        self.empty += 1
+                        self.empty += w
         count[1][self.cfg.b] -= 1
         count[box][box] += 1
         self.load[box] += 1
         self.boxes[d] = box
 
     def retract(self, d: int) -> None:
-        lo, hi, count = self.lo, self.hi, self.count
+        lo, hi, count, weight = self.lo, self.hi, self.count, self.weight
         changed = self._undo[d]
         for v, lv, hv in reversed(changed):
             nl, nh = lo[v], hi[v]
             if lv <= hv:
+                w = weight[v]
                 if nl <= nh:
-                    count[nl][nh] -= 1
+                    count[nl][nh] -= w
                 else:
-                    self.empty -= 1
-                count[lv][hv] += 1
+                    self.empty -= w
+                count[lv][hv] += w
             lo[v] = lv
             hi[v] = hv
         changed.clear()
@@ -299,19 +374,33 @@ class PlacementPrefix:
             return "hall"
         return None
 
+    def intervals(self, roots: Sequence[int]) -> tuple[tuple[int, int] | None, ...]:
+        """Every vertex's interval, as ``count`` weighs it: each class's
+        members take their representative's, ``None`` if empty, and root
+        ``roots[d]`` is pinned to ``boxes[d]``, or spans ``(1, b)`` while
+        unplaced.  Under a complete placement these are the ``intervals``
+        of its :class:`IntervalTable`."""
+        out: list[tuple[int, int] | None] = [None] * self.cfg.n
+        lo, hi = self.lo, self.hi
+        for members in self.classes:
+            r = members[0]
+            interval = (lo[r], hi[r]) if lo[r] <= hi[r] else None
+            for v in members:
+                out[v] = interval
+        for root, box in zip(roots, self.boxes):
+            out[root] = (box, box) if box else (1, self.cfg.b)
+        return tuple(out)
+
 
 def _placed_intervals(
     cfg: BoxConfig, rp: RootPlacement, windows: RootWindows
 ) -> tuple[tuple[int, int] | None, ...]:
     """Every root of ``rp`` placed into a fresh :class:`PlacementPrefix`,
-    then pinned to its own box."""
+    then its intervals read off."""
     prefix = PlacementPrefix(cfg.n, cfg, *windows)
     for d, box in enumerate(rp.boxes):
         prefix.place(d, box)
-    intervals = [(lo, hi) if lo <= hi else None for lo, hi in zip(prefix.lo, prefix.hi)]
-    for root, box in zip(rp.roots, rp.boxes):
-        intervals[root] = (box, box)
-    return tuple(intervals)
+    return prefix.intervals(rp.roots)
 
 
 def build_intervals(
@@ -333,10 +422,13 @@ def build_intervals(
     if rp.roots != rs.roots:
         raise ValueError("placement roots differ from the root set")
     windows = root_windows(rs, dists, use_3hop)
-    constrained = set(rs.roots).union(*windows[0])
-    for v in range(g.n):
-        if v not in constrained:
-            raise AssertionError(f"certified root set leaves vertex {v} unconstrained")
+    near, _, _, _, classes = windows
+    held = set().union(*near)
+    for members in classes:
+        if members[0] not in held:
+            raise AssertionError(
+                f"certified root set leaves vertex {members[0]} unconstrained"
+            )
     return IntervalTable(
         cfg=cfg, placement=rp, intervals=_placed_intervals(cfg, rp, windows), windows=windows
     )

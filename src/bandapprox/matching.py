@@ -162,37 +162,6 @@ def normalize_matching(m: Matching, cfg: BoxConfig) -> Matching:
     return Matching(pairs=tuple(sorted(pairs)))
 
 
-def box_gap_violations(
-    g: Graph, layout: Layout, table: IntervalTable, cfg: BoxConfig
-) -> list[tuple[int, int, int, int]]:
-    """Edges whose box gap exceeds the window case analysis.
-
-    With the three-hop tightening on, an edge (u, v) whose designated roots
-    sit gamma boxes apart can span at most 7 - gamma boxes for
-    1 <= gamma <= 5 and at most 5 boxes for gamma = 0.  Returns offending
-    ``(u, v, gap, gamma)`` tuples; empty on every layout the two-hop
-    pipeline emits.
-    """
-    near, _, near_window, far_window = table.windows
-    if near_window != 2 or far_window is None:
-        raise ValueError("gap analysis applies to two-hop tables with the "
-                         "three-hop tightening enabled")
-    boxes = table.placement.as_mapping()
-    # a root designates itself, any other vertex its lowest root within two hops
-    designated = {v: v for v in boxes}
-    for u, members in sorted(zip(table.placement.roots, near)):
-        for v in members:
-            designated.setdefault(v, u)
-    out = []
-    for u, v in g.edges:
-        gap = abs(cfg.box_of(layout.pos[u]) - cfg.box_of(layout.pos[v]))
-        gamma = abs(boxes[designated[u]] - boxes[designated[v]])
-        bound = 5 if gamma == 0 else 7 - gamma
-        if gamma > 5 or gap > bound:
-            out.append((u, v, gap, gamma))
-    return out
-
-
 def approx_bandwidth_alg1(
     g: Graph,
     params=None,

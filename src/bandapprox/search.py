@@ -32,8 +32,12 @@ The walk's prefix and the Hall test,
 :class:`~bandapprox.boxes.PlacementPrefix` and
 :func:`~bandapprox.boxes.hall_violation`, live in :mod:`bandapprox.boxes`
 next to the window rule: ``PlacementPrefix.place`` is the one code that
-intersects root windows, for the walk and for the winner's interval table
-alike.
+intersects root windows.  It works on classes of non-root vertices that
+every root sees alike (:func:`~bandapprox.boxes.root_windows`), each
+weighted by its size in the Hall histogram, so a step of the walk costs
+O(classes), not O(n); a diameter-2 graph has a single class.  The winner's
+interval table is read off the walk's own prefix, which expands the
+classes back to vertices.
 
 A *config* (``SearchStats.configs_tried``, the ``configs`` of reports and
 bench rows) is a complete twin-ordered placement the walk reached,
@@ -47,9 +51,9 @@ from dataclasses import dataclass, replace
 
 from .boxes import (
     BoxConfig,
+    IntervalTable,
     PlacementPrefix,
     RootPlacement,
-    build_intervals,
     make_box_config,
     root_distances,
     root_twins,
@@ -57,7 +61,7 @@ from .boxes import (
 )
 # Not called here; bound because perfbench/tracer.py wraps these names in
 # this module.
-from .boxes import enumerate_placements, update_intervals  # noqa: F401
+from .boxes import build_intervals, enumerate_placements, update_intervals  # noqa: F401
 from .domset import SamplingParams, k_size, kprime_size, sample_certified
 from .flow import build_flow_instance, count_intervals, flow_to_layout, max_flow
 from .graph import Graph, density
@@ -170,7 +174,7 @@ def run_search(
     start = max(degree_lower_bound(g), 1)
     layout = None
     for boxsize in range(start, n + 1):
-        layout = _scan_boxsize(g, rs, dists, windows, twins, backend, use_3hop, stats, boxsize)
+        layout = _scan_boxsize(g, rs, windows, twins, backend, stats, boxsize)
         if layout is not None:
             break
     stats.time_scan = time.perf_counter() - t0
@@ -182,15 +186,18 @@ def run_search(
     return layout, boxsize, stats
 
 
-def _scan_boxsize(g, rs, dists, windows, twins, backend, use_3hop, stats, boxsize):
+def _scan_boxsize(g, rs, windows, twins, backend, stats, boxsize):
     cfg = make_box_config(g.n, boxsize)
     stats.boxsizes_tried += 1
     prefix = PlacementPrefix(g.n, cfg, *windows)
     boxes = _first_feasible_placement(prefix, twins, stats)
     if boxes is None:
         return None
+    # the walk stops with the winner placed, so its prefix holds the table
     rp = RootPlacement(roots=rs.roots, boxes=boxes)
-    table = build_intervals(g, rs, rp, cfg, dists, use_3hop=use_3hop)
+    table = IntervalTable(
+        cfg=cfg, placement=rp, intervals=prefix.intervals(rs.roots), windows=windows
+    )
     layout = _extract_layout(table, cfg, backend, stats)
     if layout is None:
         raise AssertionError(

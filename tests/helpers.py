@@ -26,19 +26,20 @@ ENUMERATION_CAP = 10
 
 
 def synthetic_table(intervals, cfg: BoxConfig, near_window=2, far_window=3) -> IntervalTable:
-    """IntervalTable with given intervals and roots that constrain nothing;
-    enough for auxiliary-graph building, counting, and conversion, none of
-    which consult the windows."""
+    """IntervalTable with given intervals and roots that constrain nothing,
+    so the non-roots form one class; enough for auxiliary-graph building,
+    counting, and conversion, none of which consult the windows."""
     roots = tuple(
         v for v, iv in enumerate(intervals) if iv is not None and iv[0] == iv[1]
     )
     placement = RootPlacement(roots=roots, boxes=tuple(intervals[r][0] for r in roots))
     nothing = ((),) * len(roots)
+    others = tuple(v for v in range(len(intervals)) if v not in roots)
     return IntervalTable(
         cfg=cfg,
         placement=placement,
         intervals=tuple(intervals),
-        windows=(nothing, nothing, near_window, far_window),
+        windows=(nothing, nothing, near_window, far_window, (others,) if others else ()),
     )
 
 
@@ -128,6 +129,37 @@ def floyd_warshall_from_set(g: Graph, sources) -> list[int | None]:
     for v in range(g.n):
         best = min(dist[s][v] for s in sources)
         out.append(None if best >= big else best)
+    return out
+
+
+def box_gap_violations(g: Graph, layout, table: IntervalTable, cfg: BoxConfig):
+    """Edges whose box gap exceeds the window case analysis.
+
+    With the three-hop tightening on, an edge (u, v) whose designated roots
+    sit gamma boxes apart can span at most 7 - gamma boxes for
+    1 <= gamma <= 5 and at most 5 boxes for gamma = 0.  A root designates
+    itself, any other vertex its lowest root within two hops, found by
+    Floyd-Warshall rather than from the table's windows.  Returns offending
+    ``(u, v, gap, gamma)`` tuples; empty on every layout the two-hop
+    pipeline emits.
+    """
+    _, _, near_window, far_window, _ = table.windows
+    if near_window != 2 or far_window is None:
+        raise ValueError("gap analysis applies to two-hop tables with the "
+                         "three-hop tightening enabled")
+    boxes = table.placement.as_mapping()
+    designated = {v: v for v in boxes}
+    for u in sorted(boxes):
+        for v, d in enumerate(floyd_warshall_from_set(g, [u])):
+            if d is not None and d <= 2:
+                designated.setdefault(v, u)
+    out = []
+    for u, v in g.edges:
+        gap = abs(cfg.box_of(layout.pos[u]) - cfg.box_of(layout.pos[v]))
+        gamma = abs(boxes[designated[u]] - boxes[designated[v]])
+        bound = 5 if gamma == 0 else 7 - gamma
+        if gamma > 5 or gap > bound:
+            out.append((u, v, gap, gamma))
     return out
 
 

@@ -28,13 +28,13 @@ from bandapprox.flow import (
 from bandapprox.graph import gen_dense_random, min_degree
 from bandapprox.matching import (
     approx_bandwidth_alg1,
-    box_gap_violations,
     build_auxiliary,
     max_matching,
 )
 from bandapprox.oracle import exact_bandwidth, layout_bandwidth
 from bandapprox.util import ceil_snapped
 from helpers import (
+    box_gap_violations,
     complete_graph,
     cycle_graph,
     enumerate_bandwidth,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandapprox.boxes import (
+    PlacementPrefix,
     RootPlacement,
     build_intervals,
     enumerate_placements,
@@ -326,3 +327,126 @@ class TestRootTwins:
         g = path_graph(12)
         rs = every_vertex_a_root(g, hop_radius)
         assert root_twins(rs, root_distances(g, rs)) == (-1,) * 12
+
+
+def window_signature(rs, dists, v, use_3hop):
+    """How each root sees ``v``, straight from hop distances: near, far or
+    outside its windows."""
+    out = []
+    for u in rs.roots:
+        d = dists[u][v]
+        if d is not None and d <= rs.hop_radius:
+            out.append("near")
+        elif use_3hop and rs.hop_radius == 2 and d == 3:
+            out.append("far")
+        else:
+            out.append("out")
+    return tuple(out)
+
+
+def class_cases():
+    """(graph, root set, use_3hop) over the three window rules; the path
+    powers put vertices three hops from a root and split the non-roots
+    into many classes."""
+    for seed in range(3):
+        g = gen_dense_random(16, 0.4, 900 + seed)
+        for hop_radius, use_3hop in ((2, True), (2, False), (1, False)):
+            yield g, sample_certified(g, 3, seed=seed, hop_radius=hop_radius), use_3hop
+    for seed in range(3):
+        g = planted_band(16, 3, seed)
+        for use_3hop in (True, False):
+            yield g, sample_certified(g, 3, seed=seed), use_3hop
+    g = path_graph(12)
+    yield g, RootSet(roots=(1, 5, 9), hop_radius=2, certified=True), True
+
+
+CLASS_CASES = list(class_cases())
+
+
+class TestVertexClasses:
+    @pytest.mark.parametrize("case", range(len(CLASS_CASES)))
+    def test_classes_are_the_window_signatures(self, case):
+        g, rs, use_3hop = CLASS_CASES[case]
+        dists = root_distances(g, rs)
+        near, far, _, _, classes = root_windows(rs, dists, use_3hop)
+        non_roots = [v for v in range(g.n) if v not in rs.roots]
+        assert sorted(v for members in classes for v in members) == non_roots
+        assert sum(map(len, classes)) == g.n - len(rs.roots)
+        assert [members[0] for members in classes] == sorted(min(c) for c in classes)
+        signatures = [window_signature(rs, dists, members[0], use_3hop) for members in classes]
+        # members share their class's signature and no two classes share one
+        for members, signature in zip(classes, signatures):
+            assert list(members) == sorted(members)
+            for v in members:
+                assert window_signature(rs, dists, v, use_3hop) == signature
+        assert len(set(signatures)) == len(classes)
+        for d in range(len(rs.roots)):
+            for kind, listed in (("near", near[d]), ("far", far[d])):
+                assert listed == tuple(
+                    members[0] for members, sig in zip(classes, signatures) if sig[d] == kind
+                )
+
+    def test_path_powers_split_into_several_classes(self):
+        sizes = [len(root_windows(rs, root_distances(g, rs), use_3hop)[4])
+                 for g, rs, use_3hop in CLASS_CASES]
+        assert max(sizes) >= 4
+
+    @pytest.mark.parametrize("n,seed", [(49, 43), (50, 0), (58, 4)])
+    def test_dense_scan_shaped_graphs_have_one_class(self, n, seed):
+        g = gen_dense_random(n, 0.3, seed)
+        rs = sample_certified(g, 8, seed=seed)
+        near, far, _, _, classes = root_windows(rs, root_distances(g, rs))
+        assert len(classes) == 1 and len(classes[0]) == n - 8
+        assert near == ((classes[0][0],),) * 8 and far == ((),) * 8
+
+    def test_every_vertex_a_root_has_no_classes(self):
+        g = planted_band(12, 2, 0)
+        rs = every_vertex_a_root(g)
+        near, far, _, _, classes = root_windows(rs, root_distances(g, rs))
+        assert classes == () and near == far == ((),) * g.n
+
+    @pytest.mark.parametrize("case", range(len(CLASS_CASES)))
+    def test_every_prefix_node_matches_the_reference(self, case):
+        # every vertex's interval and the Hall histogram, at every node of
+        # the full placement tree of one box size
+        g, rs, use_3hop = CLASS_CASES[case]
+        dists = root_distances(g, rs)
+        windows = root_windows(rs, dists, use_3hop)
+        cfg = make_box_config(g.n, 3)
+        prefix = PlacementPrefix(g.n, cfg, *windows)
+        assert sum(prefix.weight) == g.n - len(rs.roots)
+        k = len(rs.roots)
+        nodes = 0
+
+        def check(d):
+            expected = [(1, cfg.b)] * g.n
+            if d:
+                placed = RootSet(roots=rs.roots[:d], hop_radius=rs.hop_radius, certified=True)
+                rp = RootPlacement(roots=placed.roots, boxes=tuple(prefix.boxes[:d]))
+                expected = list(reference_intervals(g, placed, rp, cfg, dists, use_3hop))
+            for root in rs.roots[d:]:
+                expected[root] = (1, cfg.b)
+            got = prefix.intervals(rs.roots)
+            assert got == tuple(expected), prefix.boxes
+            count = [[0] * (cfg.b + 1) for _ in range(cfg.b + 1)]
+            for iv in got:
+                if iv is not None:
+                    count[iv[0]][iv[1]] += 1
+            assert prefix.count == count and prefix.empty == got.count(None)
+
+        def visit(d):
+            nonlocal nodes
+            check(d)
+            nodes += 1
+            if d == k:
+                return
+            for box in range(1, cfg.b + 1):
+                if prefix.has_room(box):
+                    prefix.place(d, box)
+                    visit(d + 1)
+                    prefix.retract(d)
+
+        visit(0)
+        check(0)
+        assert nodes > cfg.b ** (k - 1)
+

@@ -18,6 +18,7 @@ from helpers import (
     cycle_graph,
     empty_graph,
     er_graph,
+    floyd_warshall_from_set,
     frozen_gen_dense_random,
     path_graph,
 )
@@ -135,13 +136,49 @@ class TestBfs:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_matches_floyd_warshall(self, seed):
-        from helpers import floyd_warshall_from_set
-
         n = (10, 21, 34, 50)[seed % 4]
         g = er_graph(n, 0.12, seed)  # sparse enough to be disconnected sometimes
         sources = [seed % n, (seed * 7 + 1) % n]
         dm = bfs_from_set(g, sources)
         assert list(dm.dist) == floyd_warshall_from_set(g, sources)
+
+
+class TestBitsetBfs:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 24), st.floats(0.0, 0.4), st.integers(0, 10**6), st.data())
+    def test_multi_source_matches_floyd_warshall(self, n, p, seed, data):
+        g = er_graph(n, p, seed)  # sparse draws leave it disconnected
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        assert list(bfs_from_set(g, sources).dist) == floyd_warshall_from_set(g, sources)
+
+    def test_disconnected_components(self):
+        # a path 0-3, a 5-cycle 4-8, an edge 9-10 and the isolated vertex 11
+        edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (9, 10)]
+        g = make_graph(12, edges)
+        for sources in ([0], [3, 6], [11], [2, 9, 11], list(range(12))):
+            assert list(bfs_from_set(g, sources).dist) == floyd_warshall_from_set(g, sources)
+        dm = bfs_from_set(g, [3, 6])
+        assert dm.sources == (3, 6)
+        assert dm.dist == (3, 2, 1, 0, 2, 1, 0, 1, 2, None, None, None)
+
+    def test_masks_hold_the_adjacency(self):
+        g = er_graph(30, 0.3, 5)
+        assert g.adj_masks == tuple(sum(1 << w for w in row) for row in g.adj)
+
+    def test_constructors_leave_masks_unbuilt(self):
+        text = serialize_graph(er_graph(12, 0.3, 2))
+        for g in (make_graph(4, [(0, 1), (2, 3)]), parse_graph(text), gen_dense_random(20, 0.3, 1)):
+            assert "adj_masks" not in vars(g)
+            bfs_from_set(g, [0])
+            assert "adj_masks" in vars(g)
+
+    def test_built_masks_leave_equality_and_hash_alone(self):
+        g, h = gen_dense_random(25, 0.3, 4), gen_dense_random(25, 0.3, 4)
+        before = hash(g)
+        g.adj_masks
+        assert g == h and hash(g) == hash(h) == before
+        assert repr(g) == repr(h)
+        assert g != gen_dense_random(25, 0.3, 5)
 
 
 class TestGenerator:

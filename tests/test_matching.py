@@ -17,14 +17,13 @@ from bandapprox.matching import (
     Matching,
     approx_bandwidth_alg1,
     approx_bandwidth_baseline,
-    box_gap_violations,
     build_auxiliary,
     matching_to_layout,
     max_matching,
     normalize_matching,
 )
 from bandapprox.oracle import exact_bandwidth, layout_bandwidth
-from helpers import brute_force_matching_size, complete_graph
+from helpers import box_gap_violations, brute_force_matching_size, complete_graph
 
 
 def pinned_table(g, seed, boxsize, nroots=3):
