@@ -17,6 +17,7 @@ from .boxes import (
     build_intervals,
     enumerate_placements,
     make_box_config,
+    root_balls,
     root_distances,
     update_intervals,
 )
@@ -47,6 +48,7 @@ from .graph import (
     bfs_from_set,
     density,
     gen_dense_random,
+    hop_balls,
     make_graph,
     min_degree,
     parse_graph,
@@ -111,6 +113,7 @@ __all__ = [
     "flow_to_layout",
     "format_layout",
     "gen_dense_random",
+    "hop_balls",
     "is_dominating",
     "k_size",
     "kprime_size",
@@ -124,6 +127,7 @@ __all__ = [
     "normalize_matching",
     "parse_graph",
     "parse_layout",
+    "root_balls",
     "root_distances",
     "run_search",
     "sample_certified",

@@ -9,8 +9,12 @@ gets an interval of boxes it may occupy — the intersection of a window of
 each root at exactly three hops.  For the one-hop baseline the window is
 +/-1 around each neighboring root.
 
-The window rule lives in two places only: :func:`root_windows` says which
-vertices each root constrains and by how many boxes, and
+Every root's ball (the vertices within ``hop_radius`` hops) and ring (those
+one hop further) come from one truncated layer walk on the adjacency
+bitsets, :func:`root_balls`; everything the search needs of the graph is
+read off these masks.  The window rule lives in two places only:
+:func:`root_windows` says which vertices each root constrains and by how
+many boxes, and
 :meth:`PlacementPrefix.place` intersects the windows.  Non-root vertices
 that every root sees alike (near, far or outside its windows) always get
 the same interval, so :func:`root_windows` groups them into classes and
@@ -24,16 +28,20 @@ search in :mod:`bandapprox.search` walks placements with a
 placement into a fresh one.  :func:`enumerate_placements` lists every
 placement in the order that search visits them, and :func:`root_twins`
 names the roots whose windows agree, whose boxes the search may sort.
+:meth:`PlacementPrefix.cut` uses the twins to look ahead: the unplaced
+members of the next root's twin class lie between their placed twin's box
+and the box of the class's last member, and the prefix is cut when no
+choice of that last box passes the Hall test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import accumulate, repeat
-from typing import Iterator, Mapping, Sequence
+from itertools import accumulate
+from typing import Iterator, Sequence
 
 from .domset import RootSet
-from .graph import Graph, bfs_from_set
+from .graph import Graph, bfs_from_set, hop_balls
 
 @dataclass(frozen=True)
 class BoxConfig:
@@ -124,27 +132,32 @@ class IntervalTable:
 def root_distances(g: Graph, rs: RootSet) -> dict[int, tuple[int | None, ...]]:
     """Hop distances from each individual root (one BFS per root).
 
-    Run once per root set; every placement afterwards reuses these records.
+    The search does not use these: it reads the roots' balls and rings off
+    :func:`root_balls`.  They remain for callers that want the distances
+    themselves.
     """
     return {u: bfs_from_set(g, (u,)).dist for u in rs.roots}
 
 
-def _hop_masks(
-    rs: RootSet, dists: Mapping[int, Sequence[int | None]]
-) -> list[tuple[int, int]]:
-    """Per root (aligned with ``rs.roots``), the bitmasks of the vertices
-    within ``rs.hop_radius`` hops of it (its ball, itself included) and of
-    those at exactly ``rs.hop_radius + 1`` hops."""
-    digit = dict.fromkeys(range(rs.hop_radius + 1), "1")
-    digit[rs.hop_radius + 1] = "2"
-    ball_only = str.maketrans("2", "0")
-    ring_only = str.maketrans("12", "01")
-    masks = []
+# ``(ball, ring)`` bitmasks per root, as :func:`root_balls` gives them
+RootBalls = tuple[tuple[int, int], ...]
+
+
+def root_balls(g: Graph, rs: RootSet) -> RootBalls:
+    """Per root (aligned with ``rs.roots``), the bitmasks of its ball, the
+    vertices within ``rs.hop_radius`` hops of it (itself included), and of
+    its ring, those at exactly ``rs.hop_radius + 1`` hops.
+
+    One :func:`~bandapprox.graph.hop_balls` walk of ``hop_radius + 1``
+    layers per root, on the adjacency bitsets; :func:`root_windows` and
+    :func:`root_twins` read everything they need off these masks.
+    """
+    r = rs.hop_radius
+    out = []
     for u in rs.roots:
-        # one digit per vertex, vertex n-1 first; unreachable vertices read 0
-        digits = "".join(map(digit.get, reversed(dists[u]), repeat("0")))
-        masks.append((int(digits.translate(ball_only), 2), int(digits.translate(ring_only), 2)))
-    return masks
+        balls = hop_balls(g, (u,), r + 1)
+        out.append((balls[r], balls[r + 1] ^ balls[r]))
+    return tuple(out)
 
 
 def _members(mask: int) -> tuple[int, ...]:
@@ -160,15 +173,17 @@ def _members(mask: int) -> tuple[int, ...]:
 
 def root_windows(
     rs: RootSet,
-    dists: Mapping[int, Sequence[int | None]],
+    balls: RootBalls,
+    n: int,
     use_3hop: bool = True,
 ) -> RootWindows:
-    """``(near, far, near_window, far_window, classes)``: which vertices
-    each root constrains, and by how many boxes.
+    """``(near, far, near_window, far_window, classes)``: which of the
+    ``n`` vertices each root constrains, and by how many boxes.
 
-    A vertex within ``near_window = rs.hop_radius`` hops of a root stays
-    within that many boxes of it, one at exactly ``near_window + 1`` hops
-    within ``far_window = 3`` boxes; ``far_window`` is ``None`` when the
+    A vertex within ``near_window = rs.hop_radius`` hops of a root (in its
+    ball, as :func:`root_balls` gives it) stays within that many boxes of
+    it, one at exactly ``near_window + 1`` hops (in its ring) within
+    ``far_window = 3`` boxes; ``far_window`` is ``None`` when the
     three-hop tightening is off or the roots are one-hop.  Roots are left
     out: they are pinned to their own box instead.
 
@@ -186,7 +201,6 @@ def root_windows(
     near_window = rs.hop_radius
     far_window = 3 if (use_3hop and rs.hop_radius == 2) else None
     k = len(rs.roots)
-    n = len(dists[rs.roots[0]])
     if k == n:  # nothing left to constrain
         return ((),) * k, ((),) * k, near_window, far_window, ()
     non_roots = (1 << n) - 1
@@ -194,7 +208,7 @@ def root_windows(
         non_roots ^= 1 << u
     windows = [
         (ball & non_roots, ring & non_roots if far_window is not None else 0)
-        for ball, ring in _hop_masks(rs, dists)
+        for ball, ring in balls
     ]
     blocks = [non_roots]
     for near_mask, far_mask in windows:
@@ -219,11 +233,11 @@ def root_windows(
     return near, far, near_window, far_window, classes
 
 
-def root_twins(rs: RootSet, dists: Mapping[int, Sequence[int | None]]) -> tuple[int, ...]:
-    """For each root (aligned with ``rs.roots``), the index of the last
-    earlier root that is its closed twin, or -1.
+def root_twins(balls: RootBalls) -> tuple[int, ...]:
+    """For each root (aligned with the ``balls`` of :func:`root_balls`),
+    the index of the last earlier root that is its closed twin, or -1.
 
-    Two roots are closed twins when their balls of radius ``rs.hop_radius``
+    Two roots are closed twins when their balls of radius ``hop_radius``
     agree, roots included: then every vertex falls in the same window class
     for both, since a ball ``B`` also fixes the next layer ``N(B) - B`` that
     the far window covers.  Swapping the boxes of two twins changes no
@@ -233,7 +247,7 @@ def root_twins(rs: RootSet, dists: Mapping[int, Sequence[int | None]]) -> tuple[
     """
     last: dict[int, int] = {}
     twins = []
-    for d, (ball, _) in enumerate(_hop_masks(rs, dists)):
+    for d, (ball, _) in enumerate(balls):
         twins.append(last.get(ball, -1))
         last[ball] = d
     return tuple(twins)
@@ -277,9 +291,14 @@ class PlacementPrefix:
     with it.  ``count`` is the histogram the Hall test reads, in vertices:
     each class weighs its size, each placed root is pinned to ``(k, k)``,
     each unplaced one counted as ``(1, b)`` and empty intervals left out
-    (``empty`` counts their vertices).  Roots are placed and retracted last
-    in, first out; each placement costs O(classes the root constrains),
-    one step for all non-roots on a diameter-2 graph.
+    (``empty`` counts their vertices).  Roots are placed in index order and
+    retracted last in, first out; each placement costs O(classes the root
+    constrains), one step for all non-roots on a diameter-2 graph.
+
+    ``twins`` are the :func:`root_twins` links, all -1 (no twins) by
+    default.  With them, :meth:`cut` assumes the completions are
+    twin-ordered, each twin class taking non-decreasing boxes, and looks
+    ahead over the next root's twin class.
     """
 
     def __init__(
@@ -291,16 +310,25 @@ class PlacementPrefix:
         near_window: int,
         far_window: int | None,
         classes: Sequence[Sequence[int]],
+        twins: Sequence[int] | None = None,
     ) -> None:
         b = cfg.b
+        k = len(near)
         self.cfg = cfg
         self.near = near
         self.far = far
         self.near_window = near_window
         self.far_window = far_window
         self.classes = classes
+        self.twins = tuple(twins) if twins is not None else (-1,) * k
+        # rest[d]: the members of root d's twin class from d on
+        self.rest = [1] * k
+        for d in range(k - 1, -1, -1):
+            if self.twins[d] >= 0:
+                self.rest[self.twins[d]] += self.rest[d]
         self.cum = list(accumulate(cfg.capacities, initial=0))
-        self.boxes = [0] * len(near)
+        self.boxes = [0] * k
+        self.placed = 0
         self.load = [0] * (b + 1)
         self.lo = [1] * n
         self.hi = [b] * n
@@ -315,9 +343,10 @@ class PlacementPrefix:
     def has_room(self, box: int) -> bool:
         return self.load[box] < self.cfg.capacities[box - 1]
 
-    def place(self, d: int, box: int) -> None:
+    def _narrow(self, d: int, box: int, changed: list[tuple[int, int, int]]) -> None:
+        """Intersect every class root ``d`` constrains with its window
+        around ``box``, logging each old interval in ``changed``."""
         lo, hi, count, weight = self.lo, self.hi, self.count, self.weight
-        changed = self._undo[d]
         for members, width in ((self.near[d], self.near_window), (self.far[d], self.far_window)):
             if not members:
                 continue
@@ -338,14 +367,10 @@ class PlacementPrefix:
                         count[nl][nh] += w
                     else:
                         self.empty += w
-        count[1][self.cfg.b] -= 1
-        count[box][box] += 1
-        self.load[box] += 1
-        self.boxes[d] = box
 
-    def retract(self, d: int) -> None:
+    def _restore(self, changed: list[tuple[int, int, int]]) -> None:
+        """Undo the :meth:`_narrow` calls that logged into ``changed``."""
         lo, hi, count, weight = self.lo, self.hi, self.count, self.weight
-        changed = self._undo[d]
         for v, lv, hv in reversed(changed):
             nl, nh = lo[v], hi[v]
             if lv <= hv:
@@ -358,21 +383,60 @@ class PlacementPrefix:
             lo[v] = lv
             hi[v] = hv
         changed.clear()
+
+    def place(self, d: int, box: int) -> None:
+        self._narrow(d, box, self._undo[d])
+        self.count[1][self.cfg.b] -= 1
+        self.count[box][box] += 1
+        self.load[box] += 1
+        self.boxes[d] = box
+        self.placed += 1
+
+    def retract(self, d: int) -> None:
+        self._restore(self._undo[d])
         box = self.boxes[d]
-        count[box][box] -= 1
-        count[1][self.cfg.b] += 1
+        self.count[box][box] -= 1
+        self.count[1][self.cfg.b] += 1
         self.load[box] -= 1
         self.boxes[d] = 0
+        self.placed -= 1
 
     def cut(self) -> str | None:
-        """Why no completion of this prefix is feasible (``"empty"`` or
-        ``"hall"``), or ``None`` if it may have one.  Exact once every root
-        is placed."""
+        """Why no twin-ordered completion of this prefix is feasible
+        (``"empty"`` or ``"hall"``), or ``None`` if it may have one.  Exact
+        once every root is placed.
+
+        When the next root ``e`` has a placed twin at box ``f``, the ``r``
+        members of its twin class from ``e`` on all take boxes in
+        ``f..y``, where ``y`` is the box of the class's last member.  For
+        each ``y`` in ``f..b`` the look-ahead counts those ``r`` roots as
+        ``(f, y)`` instead of ``(1, b)``, narrows the classes they constrain
+        to their windows around ``y`` and runs the Hall test; the prefix is
+        cut (``"hall"``) when no ``y`` passes.  Every interval stays a
+        superset of its value in any completion with that ``y``, so only
+        prefixes without a feasible twin-ordered completion are cut.
+        """
         if self.empty:
             return "empty"
-        if hall_violation(self.count, self.cum) is not None:
-            return "hall"
-        return None
+        e = self.placed
+        if e == len(self.boxes) or self.twins[e] < 0:
+            return "hall" if hall_violation(self.count, self.cum) is not None else None
+        f = self.boxes[self.twins[e]]
+        r = self.rest[e]
+        b = self.cfg.b
+        count, trial = self.count, []
+        count[1][b] -= r
+        passed = False
+        for y in range(f, b + 1):
+            count[f][y] += r
+            self._narrow(e, y, trial)
+            passed = not self.empty and hall_violation(count, self.cum) is None
+            self._restore(trial)
+            count[f][y] -= r
+            if passed:
+                break
+        count[1][b] += r
+        return None if passed else "hall"
 
     def intervals(self, roots: Sequence[int]) -> tuple[tuple[int, int] | None, ...]:
         """Every vertex's interval, as ``count`` weighs it: each class's
@@ -408,10 +472,11 @@ def build_intervals(
     rs: RootSet,
     rp: RootPlacement,
     cfg: BoxConfig,
-    dists: Mapping[int, Sequence[int | None]],
+    balls: RootBalls,
     use_3hop: bool = True,
 ) -> IntervalTable:
-    """Interval table for one placement, from precomputed root distances.
+    """Interval table for one placement, from the precomputed
+    :func:`root_balls`.
 
     Requires a certified root set: certification is what guarantees every
     non-root vertex lies in some root's near window, so an unconstrained
@@ -421,7 +486,7 @@ def build_intervals(
         raise ValueError("root set must be certified before building intervals")
     if rp.roots != rs.roots:
         raise ValueError("placement roots differ from the root set")
-    windows = root_windows(rs, dists, use_3hop)
+    windows = root_windows(rs, balls, g.n, use_3hop)
     near, _, _, _, classes = windows
     held = set().union(*near)
     for members in classes:

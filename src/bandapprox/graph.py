@@ -4,9 +4,11 @@ measurement, and deterministic generation of dense random instances."""
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import sqrt
 from typing import Iterable
 
@@ -92,14 +94,22 @@ def _add_edge(seen: set[tuple[int, int]], n: int, u: int, v: int) -> None:
 
 
 def _graph_of(n: int, seen: set[tuple[int, int]]) -> Graph:
-    adj: list[list[int]] = [[] for _ in range(n)]
+    """The graph of a validated edge set: each adjacency row sorted, and
+    the sorted edge tuple read off the rows' higher neighbours."""
+    rows: list[list[int]] = [[] for _ in range(n)]
     for u, v in seen:
-        adj[u].append(v)
-        adj[v].append(u)
+        rows[u].append(v)
+        rows[v].append(u)
+    for row in rows:
+        row.sort()
     return Graph(
         n=n,
-        edges=tuple(sorted(seen)),
-        adj=tuple(tuple(sorted(row)) for row in adj),
+        edges=tuple(
+            edge
+            for u, row in enumerate(rows)
+            for edge in zip(repeat(u), row[bisect_right(row, u):])
+        ),
+        adj=tuple(map(tuple, rows)),
     )
 
 
@@ -177,6 +187,19 @@ def density(g: Graph) -> Fraction:
     return Fraction(min_degree(g), g.n)
 
 
+def _source_mask(g: Graph, sources: Iterable[int]) -> int:
+    """Bitmask of a source set; ``ValueError`` if it is empty or names a
+    vertex outside ``0..n-1``."""
+    mask = 0
+    for s in sources:
+        if not 0 <= s < g.n:
+            raise ValueError(f"source {s} out of range 0..{g.n - 1}")
+        mask |= 1 << s
+    if not mask:
+        raise ValueError("source set must be nonempty")
+    return mask
+
+
 def bfs_from_set(g: Graph, sources: Iterable[int]) -> DistanceMap:
     """Exact hop distances from the nearest source, via multi-source BFS.
 
@@ -186,16 +209,9 @@ def bfs_from_set(g: Graph, sources: Iterable[int]) -> DistanceMap:
     per edge.
     """
     src = tuple(sorted(set(sources)))
-    if not src:
-        raise ValueError("source set must be nonempty")
-    for s in src:
-        if not 0 <= s < g.n:
-            raise ValueError(f"source {s} out of range 0..{g.n - 1}")
+    layer = _source_mask(g, src)
     masks = g.adj_masks
     dist: list[int | None] = [None] * g.n
-    layer = 0
-    for s in src:
-        layer |= 1 << s
     unseen = ((1 << g.n) - 1) ^ layer
     h = 0
     while layer:
@@ -210,6 +226,37 @@ def bfs_from_set(g: Graph, sources: Iterable[int]) -> DistanceMap:
         unseen ^= layer
         h += 1
     return DistanceMap(sources=src, dist=tuple(dist))
+
+
+def hop_balls(g: Graph, sources: Iterable[int], radius: int) -> list[int]:
+    """``balls[h]``, for ``h = 0..radius``: the bitmask of the vertices
+    within ``h`` hops of the nearest source.
+
+    A :func:`bfs_from_set` cut off after ``radius`` layers that keeps only
+    the reached set, on :attr:`Graph.adj_masks`.  Each layer ORs the
+    neighbourhoods of the vertices the last one newly reached and stops
+    early once the union covers every vertex not yet reached; once nothing
+    is left to reach, the remaining balls repeat the last one.  Sources are
+    validated as :func:`bfs_from_set` validates them.
+    """
+    masks = g.adj_masks
+    ball = _source_mask(g, sources)
+    balls = [ball]
+    frontier = ball
+    unseen = ((1 << g.n) - 1) ^ ball
+    for _ in range(radius):
+        reach = 0
+        while frontier:
+            low = frontier & -frontier
+            reach |= masks[low.bit_length() - 1]
+            if reach & unseen == unseen:
+                break
+            frontier ^= low
+        frontier = reach & unseen
+        unseen ^= frontier
+        ball |= frontier
+        balls.append(ball)
+    return balls
 
 
 def gen_dense_random(n: int, delta: float, seed: int) -> Graph:

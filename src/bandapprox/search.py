@@ -1,9 +1,11 @@
 """Shared search over box sizes and root placements driving both back ends.
 
 One driver owns the whole pipeline: measure density, size and certify the
-root sample, run one BFS per root, then scan box sizes ascending and, for
-each, walk root placements depth first in lexicographic order over the
-sorted roots, never putting more roots in a box than it has positions.
+root sample, read each root's ball and ring off one truncated layer walk
+on the adjacency bitsets (:func:`~bandapprox.boxes.root_balls`), then scan
+box sizes ascending and, for each, walk root placements depth first in
+lexicographic order over the sorted roots, never putting more roots in a
+box than it has positions.
 
 Boxes form a line and every vertex may use an interval of boxes, so a
 complete assignment of vertices to positions exists iff every contiguous
@@ -28,6 +30,14 @@ On a diameter-2 graph every root is a twin of every other, so a box size
 with ``b`` boxes has at most ``C(k'+b-1, b-1)`` complete placements, the box
 multisets, instead of ``b**k'``.
 
+Twin order also lets the cut look ahead
+(:meth:`~bandapprox.boxes.PlacementPrefix.cut`): when the next root has a
+placed twin in box ``f``, its class's unplaced members lie in ``f..y`` for
+``y`` the box of the class's last member, and a prefix for which no ``y``
+passes the Hall test is cut.  On the diameter-2 dense-scan graphs this
+leaves ``k'+1`` nodes per call: one root box cut, then straight down to
+the winner.
+
 The walk's prefix and the Hall test,
 :class:`~bandapprox.boxes.PlacementPrefix` and
 :func:`~bandapprox.boxes.hall_violation`, live in :mod:`bandapprox.boxes`
@@ -41,7 +51,7 @@ classes back to vertices.
 
 A *config* (``SearchStats.configs_tried``, the ``configs`` of reports and
 bench rows) is a complete twin-ordered placement the walk reached,
-feasible or not.
+feasible or not; a prefix the look-ahead cuts reaches none.
 """
 
 from __future__ import annotations
@@ -55,13 +65,18 @@ from .boxes import (
     PlacementPrefix,
     RootPlacement,
     make_box_config,
-    root_distances,
+    root_balls,
     root_twins,
     root_windows,
 )
 # Not called here; bound because perfbench/tracer.py wraps these names in
 # this module.
-from .boxes import build_intervals, enumerate_placements, update_intervals  # noqa: F401
+from .boxes import (  # noqa: F401
+    build_intervals,
+    enumerate_placements,
+    root_distances,
+    update_intervals,
+)
 from .domset import SamplingParams, k_size, kprime_size, sample_certified
 from .flow import build_flow_instance, count_intervals, flow_to_layout, max_flow
 from .graph import Graph, density
@@ -88,10 +103,11 @@ class SearchStats:
     tried (one root more each), complete ones included; ``configs_tried``
     the complete placements among them.  Each node failing its test counts
     once, in ``pruned_empty`` (some vertex has no admissible box) or else in
-    ``pruned_by_hall`` (some box range is over capacity).  ``trace`` holds
-    ``(boxsize, boxes, feasible)`` per complete placement, the winner last;
-    ``max_interval_keys`` and ``max_flow_nodes`` describe the winner's flow
-    instance.
+    ``pruned_by_hall`` (some box range is over capacity, or the twin
+    look-ahead finds no box for the next twin class's last member).
+    ``trace`` holds ``(boxsize, boxes, feasible)`` per complete placement,
+    the winner last; ``max_interval_keys`` and ``max_flow_nodes`` describe
+    the winner's flow instance.  ``time_bfs`` times the root ball walks.
     """
 
     algorithm: str
@@ -165,12 +181,12 @@ def run_search(
     stats.certify_attempts = rs.attempts or 0
 
     t0 = time.perf_counter()
-    dists = root_distances(g, rs)
+    balls = root_balls(g, rs)
     stats.time_bfs = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    windows = root_windows(rs, dists, use_3hop)
-    twins = root_twins(rs, dists)
+    windows = root_windows(rs, balls, n, use_3hop)
+    twins = root_twins(balls)
     start = max(degree_lower_bound(g), 1)
     layout = None
     for boxsize in range(start, n + 1):
@@ -189,8 +205,8 @@ def run_search(
 def _scan_boxsize(g, rs, windows, twins, backend, stats, boxsize):
     cfg = make_box_config(g.n, boxsize)
     stats.boxsizes_tried += 1
-    prefix = PlacementPrefix(g.n, cfg, *windows)
-    boxes = _first_feasible_placement(prefix, twins, stats)
+    prefix = PlacementPrefix(g.n, cfg, *windows, twins=twins)
+    boxes = _first_feasible_placement(prefix, stats)
     if boxes is None:
         return None
     # the walk stops with the winner placed, so its prefix holds the table
@@ -207,18 +223,16 @@ def _scan_boxsize(g, rs, windows, twins, backend, stats, boxsize):
     return layout
 
 
-def _first_feasible_placement(
-    prefix: PlacementPrefix, twins: tuple[int, ...], stats: SearchStats
-):
+def _first_feasible_placement(prefix: PlacementPrefix, stats: SearchStats):
     """Depth-first walk over capacity-respecting, twin-ordered root
     placements in lexicographic order, cutting every prefix
     :meth:`PlacementPrefix.cut` rules out; the boxes of the first complete
     placement that passes, or ``None``.
 
-    Root ``d`` starts at the box of its previous twin ``twins[d]`` (see
-    :func:`~bandapprox.boxes.root_twins`), so each twin class takes its
-    boxes in non-decreasing order."""
-    boxes = prefix.boxes
+    Root ``d`` starts at the box of its previous twin ``prefix.twins[d]``
+    (see :func:`~bandapprox.boxes.root_twins`), so each twin class takes
+    its boxes in non-decreasing order."""
+    boxes, twins = prefix.boxes, prefix.twins
     k = len(boxes)
     b = prefix.cfg.b
     d = 0

@@ -14,6 +14,7 @@ from bandapprox.boxes import (
     build_intervals,
     enumerate_placements,
     make_box_config,
+    root_balls,
     root_distances,
     root_windows,
     update_intervals,
@@ -120,9 +121,7 @@ class TestAcceptance:
                         rs = sample_certified(g, stats.root_count, seed=seed)
                         cfg = make_box_config(g.n, boxsize)
                         rp = RootPlacement(roots=rs.roots, boxes=stats.trace[-1][1])
-                        table = build_intervals(
-                            g, rs, rp, cfg, root_distances(g, rs)
-                        )
+                        table = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
                         gap_violations += len(box_gap_violations(g, layout, table, cfg))
         elapsed = time.perf_counter() - t0
         report(
@@ -220,19 +219,20 @@ class TestAcceptance:
         for g in (gen_dense_random(24, 0.4, 77), planted_band(24, 3, 0)):
             rs = sample_certified(g, 3, seed=1)
             dists = root_distances(g, rs)
-            three_hop += sum(map(len, root_windows(rs, dists)[1]))
+            balls = root_balls(g, rs)
+            three_hop += sum(map(len, root_windows(rs, balls, g.n)[1]))
             checked_here = 0
             while checked_here < 1000:
                 boxsize = rng.randrange(max(1, exact_lower(g)), g.n + 1)
                 cfg = make_box_config(g.n, boxsize)
                 placements = list(enumerate_placements(rs, cfg))
                 current = rng.choice(placements)
-                table = build_intervals(g, rs, current, cfg, dists)
+                table = build_intervals(g, rs, current, cfg, balls)
                 for _ in range(min(40, 1000 - checked_here)):
                     target = rng.choice(placements)
                     table = update_intervals(table, current, target)
                     current = target
-                    fresh = build_intervals(g, rs, current, cfg, dists)
+                    fresh = build_intervals(g, rs, current, cfg, balls)
                     reference = reference_intervals(g, rs, current, cfg, dists)
                     if not table.intervals == fresh.intervals == reference:
                         mismatches += 1
@@ -294,14 +294,14 @@ def exhaustive_verdict_scan():
         n = 8 + idx % 7  # 8..14
         g = gen_dense_random(n, 0.5, 7000 + idx)
         rs = sample_certified(g, 3, seed=idx)
-        dists = root_distances(g, rs)
+        balls = root_balls(g, rs)
         for boxsize in range(max(1, exact_lower(g)), n + 1):
             cfg = make_box_config(n, boxsize)
             table = None
             prev = None
             for rp in enumerate_placements(rs, cfg):
                 if table is None:
-                    table = build_intervals(g, rs, rp, cfg, dists)
+                    table = build_intervals(g, rs, rp, cfg, balls)
                 else:
                     table = update_intervals(table, prev, rp)
                 prev = rp
@@ -334,10 +334,10 @@ def measure_feasibility_times(n, delta, seed, placements=6):
     params = SamplingParams(alpha=0.5, c=1.0, delta=delta)
     size = kprime_size(n, params)
     rs = sample_certified(g, size, seed)
-    dists = root_distances(g, rs)
+    balls = root_balls(g, rs)
     cfg = make_box_config(n, ceil_snapped(delta * n))
     rps = list(itertools.islice(enumerate_placements(rs, cfg), placements + 1))
-    table = build_intervals(g, rs, rps[0], cfg, dists)
+    table = build_intervals(g, rs, rps[0], cfg, balls)
     prev = rps[0]
     t_flow = t_match = 0.0
     for rp in rps[1:]:

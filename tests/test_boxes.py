@@ -10,6 +10,7 @@ from bandapprox.boxes import (
     build_intervals,
     enumerate_placements,
     make_box_config,
+    root_balls,
     root_distances,
     root_twins,
     root_windows,
@@ -20,6 +21,7 @@ from bandapprox.graph import gen_dense_random, make_graph
 from bandapprox.oracle import exact_bandwidth
 from helpers import (
     complete_graph,
+    er_graph,
     floyd_warshall_from_set,
     path_graph,
     planted_band,
@@ -104,7 +106,7 @@ class TestBuildIntervals:
         rs = RootSet(roots=(0,), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
         table = build_intervals(
-            g, rs, RootPlacement(roots=(0,), boxes=(3,)), cfg, root_distances(g, rs)
+            g, rs, RootPlacement(roots=(0,), boxes=(3,)), cfg, root_balls(g, rs)
         )
         assert table.intervals[2] == (1, 5)
 
@@ -112,9 +114,8 @@ class TestBuildIntervals:
         g = path_graph(7)
         rs = RootSet(roots=(0, 4), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
-        dists = root_distances(g, rs)
         table = build_intervals(
-            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 5)), cfg, dists
+            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 5)), cfg, root_balls(g, rs)
         )
         assert table.intervals[2] == (3, 3)
 
@@ -122,9 +123,8 @@ class TestBuildIntervals:
         g = path_graph(7)
         rs = RootSet(roots=(0, 4), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
-        dists = root_distances(g, rs)
         table = build_intervals(
-            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 7)), cfg, dists
+            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 7)), cfg, root_balls(g, rs)
         )
         assert table.intervals[2] is None
 
@@ -132,9 +132,8 @@ class TestBuildIntervals:
         g = gen_dense_random(20, 0.4, 3)
         rs = sample_certified(g, 3, seed=1)
         cfg = make_box_config(20, 5)
-        dists = root_distances(g, rs)
         rp = next(iter(enumerate_placements(rs, cfg)))
-        table = build_intervals(g, rs, rp, cfg, dists)
+        table = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
         for root, box in zip(rp.roots, rp.boxes):
             assert table.intervals[root] == (box, box)
 
@@ -145,7 +144,7 @@ class TestBuildIntervals:
         cfg = make_box_config(5, 1)
         with pytest.raises(AssertionError, match="vertex 3 unconstrained"):
             build_intervals(
-                g, rs, RootPlacement(roots=(0,), boxes=(1,)), cfg, root_distances(g, rs)
+                g, rs, RootPlacement(roots=(0,), boxes=(1,)), cfg, root_balls(g, rs)
             )
 
     @pytest.mark.parametrize("hop_radius,use_3hop", [(2, True), (2, False), (1, False)])
@@ -156,10 +155,11 @@ class TestBuildIntervals:
         for seed, g in enumerate(graphs):
             rs = sample_certified(g, 3, seed=seed, hop_radius=hop_radius)
             dists = root_distances(g, rs)
+            balls = root_balls(g, rs)
             for boxsize in (2, 3, 5):
                 cfg = make_box_config(g.n, boxsize)
                 for rp in enumerate_placements(rs, cfg):
-                    table = build_intervals(g, rs, rp, cfg, dists, use_3hop=use_3hop)
+                    table = build_intervals(g, rs, rp, cfg, balls, use_3hop=use_3hop)
                     assert table.intervals == reference_intervals(g, rs, rp, cfg, dists, use_3hop)
 
     def test_uncertified_rejected(self):
@@ -168,7 +168,7 @@ class TestBuildIntervals:
         cfg = make_box_config(5, 1)
         with pytest.raises(ValueError, match="certified"):
             build_intervals(
-                g, rs, RootPlacement(roots=(0,), boxes=(1,)), cfg, {0: (0, 1, 2, 3, 4)}
+                g, rs, RootPlacement(roots=(0,), boxes=(1,)), cfg, root_balls(g, rs)
             )
 
     def test_width_at_most_five_boxes(self):
@@ -176,11 +176,11 @@ class TestBuildIntervals:
             g = gen_dense_random(24, 0.3, seed)
             rs = sample_certified(g, 3, seed=seed)
             cfg = make_box_config(24, 2)  # many boxes so clipping rarely hides width
-            dists = root_distances(g, rs)
+            balls = root_balls(g, rs)
             for i, rp in enumerate(enumerate_placements(rs, cfg)):
                 if i >= 40:
                     break
-                table = build_intervals(g, rs, rp, cfg, dists)
+                table = build_intervals(g, rs, rp, cfg, balls)
                 for iv in table.intervals:
                     if iv is not None:
                         assert iv[1] - iv[0] <= 4
@@ -191,10 +191,10 @@ class TestBuildIntervals:
         g = make_graph(8, [(i, i + 1) for i in range(7)])
         rs = RootSet(roots=(1, 5), hop_radius=2, certified=True)
         cfg = make_box_config(8, 1)
-        dists = root_distances(g, rs)
+        balls = root_balls(g, rs)
         rp = RootPlacement(roots=(1, 5), boxes=(1, 8))
-        tightened = build_intervals(g, rs, rp, cfg, dists, use_3hop=True)
-        loose = build_intervals(g, rs, rp, cfg, dists, use_3hop=False)
+        tightened = build_intervals(g, rs, rp, cfg, balls, use_3hop=True)
+        loose = build_intervals(g, rs, rp, cfg, balls, use_3hop=False)
         # d(4,1)=3: tightened intersects [8-2,8+2] with [1-3,1+3]
         assert tightened.intervals[4] is None
         assert loose.intervals[4] == (6, 8)
@@ -208,12 +208,11 @@ class TestBuildIntervals:
             boxsize = max(value, 1)
             cfg = make_box_config(g.n, boxsize)
             rs = sample_certified(g, 3, seed=seed)
-            dists = root_distances(g, rs)
             rp = RootPlacement(
                 roots=rs.roots,
                 boxes=tuple(cfg.box_of(witness.pos[r]) for r in rs.roots),
             )
-            table = build_intervals(g, rs, rp, cfg, dists)
+            table = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
             for v in range(g.n):
                 iv = table.intervals[v]
                 assert iv is not None
@@ -229,19 +228,18 @@ class TestUpdateIntervals:
         return g, rs, cfg, dists
 
     def test_identity_update(self):
-        g, rs, cfg, dists = self._setup(0)
+        g, rs, cfg, _ = self._setup(0)
         rp = next(iter(enumerate_placements(rs, cfg)))
-        table = build_intervals(g, rs, rp, cfg, dists)
+        table = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
         assert update_intervals(table, rp, rp) == table
 
     def test_shift_by_one_box(self):
         g = subdivided_star()
         rs = RootSet(roots=(0,), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
-        dists = root_distances(g, rs)
         old = RootPlacement(roots=(0,), boxes=(3,))
         new = RootPlacement(roots=(0,), boxes=(4,))
-        table = build_intervals(g, rs, old, cfg, dists)
+        table = build_intervals(g, rs, old, cfg, root_balls(g, rs))
         shifted = update_intervals(table, old, new)
         assert table.intervals[2] == (1, 5)
         assert shifted.intervals[2] == (2, 6)
@@ -250,7 +248,7 @@ class TestUpdateIntervals:
         rng = random.Random(seed)
         placements = list(enumerate_placements(rs, cfg))
         current = placements[0]
-        table = build_intervals(g, rs, current, cfg, dists)
+        table = build_intervals(g, rs, current, cfg, root_balls(g, rs))
         for _ in range(25):
             target = rng.choice(placements)
             table = update_intervals(table, current, target)
@@ -268,14 +266,14 @@ class TestUpdateIntervals:
         g = planted_band(18, 3, seed)
         rs = sample_certified(g, 3, seed=seed)
         dists = root_distances(g, rs)
-        assert any(root_windows(rs, dists)[1])
+        assert any(root_windows(rs, root_balls(g, rs), g.n)[1])
         self._random_updates(g, rs, make_box_config(g.n, 3), dists, seed)
 
     def test_exhaustive_small_instance(self):
         g, rs, cfg, dists = self._setup(3, n=12, boxsize=4)
         placements = list(enumerate_placements(rs, cfg))
         assert len(placements) <= cfg.b ** len(rs.roots)
-        table = build_intervals(g, rs, placements[0], cfg, dists)
+        table = build_intervals(g, rs, placements[0], cfg, root_balls(g, rs))
         current = placements[0]
         for rp in placements:
             table = update_intervals(table, current, rp)
@@ -283,9 +281,9 @@ class TestUpdateIntervals:
             assert table.intervals == reference_intervals(g, rs, rp, cfg, dists)
 
     def test_mismatch_errors(self):
-        g, rs, cfg, dists = self._setup(1)
+        g, rs, cfg, _ = self._setup(1)
         placements = list(enumerate_placements(rs, cfg))
-        table = build_intervals(g, rs, placements[0], cfg, dists)
+        table = build_intervals(g, rs, placements[0], cfg, root_balls(g, rs))
         with pytest.raises(ValueError, match="different placement"):
             update_intervals(table, placements[1], placements[2])
         stranger = RootPlacement(roots=(0, 1, 2), boxes=placements[0].boxes)
@@ -304,12 +302,12 @@ class TestRootTwins:
         g = gen_dense_random(n, 0.3, seed)
         assert max(max(floyd_warshall_from_set(g, [v])) for v in range(g.n)) == 2
         rs = sample_certified(g, 8, seed=seed)
-        assert root_twins(rs, root_distances(g, rs)) == tuple(range(-1, 7))
+        assert root_twins(root_balls(g, rs)) == tuple(range(-1, 7))
 
     def test_one_hop_windows_of_a_complete_graph(self):
         g = complete_graph(6)
         rs = every_vertex_a_root(g, hop_radius=1)
-        assert root_twins(rs, root_distances(g, rs)) == tuple(range(-1, 5))
+        assert root_twins(root_balls(g, rs)) == tuple(range(-1, 5))
 
     def test_planted_band_pairs_its_middle_vertices(self):
         # in the 6th power of a 24-vertex path only the two middle vertices
@@ -319,14 +317,30 @@ class TestRootTwins:
         middle = [v for v in range(g.n) if max(floyd_warshall_from_set(g, [v])) == 2]
         assert len(middle) == 2
         rs = every_vertex_a_root(g)
-        twins = root_twins(rs, root_distances(g, rs))
+        twins = root_twins(root_balls(g, rs))
         assert [(d, t) for d, t in enumerate(twins) if t >= 0] == [(middle[1], middle[0])]
 
     @pytest.mark.parametrize("hop_radius", [1, 2])
     def test_path_has_no_twins(self, hop_radius):
         g = path_graph(12)
         rs = every_vertex_a_root(g, hop_radius)
-        assert root_twins(rs, root_distances(g, rs)) == (-1,) * 12
+        assert root_twins(root_balls(g, rs)) == (-1,) * 12
+
+
+class TestRootBalls:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 24), st.floats(0.0, 0.4), st.integers(0, 10**6),
+           st.sampled_from([1, 2]), st.data())
+    def test_balls_and_rings_match_floyd_warshall(self, n, p, seed, hop_radius, data):
+        g = er_graph(n, p, seed)  # sparse draws leave it disconnected
+        roots = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=5, unique=True))
+        rs = RootSet(roots=tuple(sorted(roots)), hop_radius=hop_radius)
+        balls = root_balls(g, rs)
+        assert len(balls) == len(rs.roots)
+        for u, (ball, ring) in zip(rs.roots, balls):
+            dist = floyd_warshall_from_set(g, [u])
+            assert ball == sum(1 << v for v, d in enumerate(dist) if d is not None and d <= hop_radius)
+            assert ring == sum(1 << v for v, d in enumerate(dist) if d == hop_radius + 1)
 
 
 def window_signature(rs, dists, v, use_3hop):
@@ -368,7 +382,7 @@ class TestVertexClasses:
     def test_classes_are_the_window_signatures(self, case):
         g, rs, use_3hop = CLASS_CASES[case]
         dists = root_distances(g, rs)
-        near, far, _, _, classes = root_windows(rs, dists, use_3hop)
+        near, far, _, _, classes = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
         non_roots = [v for v in range(g.n) if v not in rs.roots]
         assert sorted(v for members in classes for v in members) == non_roots
         assert sum(map(len, classes)) == g.n - len(rs.roots)
@@ -387,7 +401,7 @@ class TestVertexClasses:
                 )
 
     def test_path_powers_split_into_several_classes(self):
-        sizes = [len(root_windows(rs, root_distances(g, rs), use_3hop)[4])
+        sizes = [len(root_windows(rs, root_balls(g, rs), g.n, use_3hop)[4])
                  for g, rs, use_3hop in CLASS_CASES]
         assert max(sizes) >= 4
 
@@ -395,14 +409,14 @@ class TestVertexClasses:
     def test_dense_scan_shaped_graphs_have_one_class(self, n, seed):
         g = gen_dense_random(n, 0.3, seed)
         rs = sample_certified(g, 8, seed=seed)
-        near, far, _, _, classes = root_windows(rs, root_distances(g, rs))
+        near, far, _, _, classes = root_windows(rs, root_balls(g, rs), g.n)
         assert len(classes) == 1 and len(classes[0]) == n - 8
         assert near == ((classes[0][0],),) * 8 and far == ((),) * 8
 
     def test_every_vertex_a_root_has_no_classes(self):
         g = planted_band(12, 2, 0)
         rs = every_vertex_a_root(g)
-        near, far, _, _, classes = root_windows(rs, root_distances(g, rs))
+        near, far, _, _, classes = root_windows(rs, root_balls(g, rs), g.n)
         assert classes == () and near == far == ((),) * g.n
 
     @pytest.mark.parametrize("case", range(len(CLASS_CASES)))
@@ -411,7 +425,7 @@ class TestVertexClasses:
         # the full placement tree of one box size
         g, rs, use_3hop = CLASS_CASES[case]
         dists = root_distances(g, rs)
-        windows = root_windows(rs, dists, use_3hop)
+        windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
         cfg = make_box_config(g.n, 3)
         prefix = PlacementPrefix(g.n, cfg, *windows)
         assert sum(prefix.weight) == g.n - len(rs.roots)

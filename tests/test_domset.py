@@ -2,6 +2,7 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bandapprox.domset import (
     CertificationError,
@@ -14,7 +15,14 @@ from bandapprox.domset import (
     sample_rootset,
 )
 from bandapprox.graph import bfs_from_set, gen_dense_random
-from helpers import complete_graph, empty_graph, er_graph, path_graph, star_graph
+from helpers import (
+    complete_graph,
+    empty_graph,
+    er_graph,
+    floyd_warshall_from_set,
+    path_graph,
+    star_graph,
+)
 
 
 def mp_size(numerator, delta):
@@ -156,6 +164,17 @@ class TestDomination:
             rs1 = sample_rootset(g, 5, seed, hop_radius=1)
             if is_dominating(g, rs1):
                 assert is_dominating(g, RootSet(rs1.roots, hop_radius=2))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 24), st.floats(0.0, 0.4), st.integers(0, 10**6),
+           st.sampled_from([1, 2]), st.data())
+    def test_agrees_with_distances(self, n, p, seed, hop_radius, data):
+        g = er_graph(n, p, seed)  # sparse draws leave it disconnected
+        size = data.draw(st.integers(1, n))
+        rs = sample_rootset(g, size, data.draw(st.integers(0, 10**6)), hop_radius=hop_radius)
+        dist = floyd_warshall_from_set(g, rs.roots)
+        expected = all(d is not None and d <= hop_radius for d in dist)
+        assert is_dominating(g, rs) == expected
 
     def test_neighbor_cover_of_dominating_set_is_two_dominating(self):
         # if R 1-dominates and every r in R has a neighbor in R', then R'

@@ -6,7 +6,7 @@ from bandapprox.boxes import (
     build_intervals,
     enumerate_placements,
     make_box_config,
-    root_distances,
+    root_balls,
 )
 from bandapprox.domset import sample_certified
 from bandapprox.flow import (
@@ -26,10 +26,10 @@ from helpers import complete_graph, min_cut_value, synthetic_table
 def certified_table(g, seed, boxsize, nroots=3, placement_index=0):
     rs = sample_certified(g, nroots, seed=seed)
     cfg = make_box_config(g.n, boxsize)
-    dists = root_distances(g, rs)
+    balls = root_balls(g, rs)
     placements = list(enumerate_placements(rs, cfg))
     rp = placements[placement_index % len(placements)]
-    return build_intervals(g, rs, rp, cfg, dists), cfg
+    return build_intervals(g, rs, rp, cfg, balls), cfg
 
 
 class TestCountIntervals:
@@ -150,12 +150,12 @@ class TestFlowToLayout:
             layout, boxsize, stats = approx_bandwidth_alg2(g, seed=seed)
             cfg = make_box_config(g.n, boxsize)
             rs = sample_certified(g, stats.root_count, seed=seed)
-            dists = root_distances(g, rs)
+            balls = root_balls(g, rs)
             # find the winning placement by rescanning this boxsize
             found = False
             table = None
             for rp in enumerate_placements(rs, cfg):
-                table = build_intervals(g, rs, rp, cfg, dists)
+                table = build_intervals(g, rs, rp, cfg, balls)
                 counts = count_intervals(table)
                 if counts is None:
                     continue

@@ -1,13 +1,16 @@
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandapprox.graph import (
+    Graph,
     GraphParseError,
     bfs_from_set,
     density,
     gen_dense_random,
+    hop_balls,
     make_graph,
     min_degree,
     parse_graph,
@@ -161,6 +164,25 @@ class TestBitsetBfs:
         assert dm.sources == (3, 6)
         assert dm.dist == (3, 2, 1, 0, 2, 1, 0, 1, 2, None, None, None)
 
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 24), st.floats(0.0, 0.4), st.integers(0, 10**6), st.data())
+    def test_hop_balls_match_floyd_warshall(self, n, p, seed, data):
+        g = er_graph(n, p, seed)  # sparse draws leave it disconnected
+        sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        radius = data.draw(st.integers(0, 4))
+        dist = floyd_warshall_from_set(g, sources)
+        expected = [
+            sum(1 << v for v, d in enumerate(dist) if d is not None and d <= h)
+            for h in range(radius + 1)
+        ]
+        assert hop_balls(g, sources, radius) == expected
+
+    def test_hop_balls_reject_bad_sources(self):
+        g = path_graph(3)
+        for sources in ([], [3], [0, -1]):
+            with pytest.raises(ValueError):
+                hop_balls(g, sources, 1)
+
     def test_masks_hold_the_adjacency(self):
         g = er_graph(30, 0.3, 5)
         assert g.adj_masks == tuple(sum(1 << w for w in row) for row in g.adj)
@@ -250,3 +272,28 @@ class TestMakeGraph:
             assert list(g.adj[u]) == sorted(g.adj[u])
             for v in g.adj[u]:
                 assert u in g.adj[v]
+
+
+def reference_graph(n, edges):
+    """The graph of an edge set built the plain way: sort the edge tuples,
+    then sort each adjacency row."""
+    seen = {(min(e), max(e)) for e in edges}
+    rows = [[] for _ in range(n)]
+    for u, v in seen:
+        rows[u].append(v)
+        rows[v].append(u)
+    return Graph(n=n, edges=tuple(sorted(seen)), adj=tuple(tuple(sorted(row)) for row in rows))
+
+
+class TestConstruction:
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 0.6), st.integers(0, 10**6))
+    def test_make_and_parse_match_a_reference_construction(self, n, p, seed):
+        g = er_graph(n, p, seed)
+        edges = list(g.edges)
+        random.Random(seed).shuffle(edges)
+        edges = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
+        expected = reference_graph(n, edges)
+        assert make_graph(n, edges) == expected
+        text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
+        assert parse_graph(text) == expected

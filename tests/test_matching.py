@@ -7,7 +7,7 @@ from bandapprox.boxes import (
     build_intervals,
     enumerate_placements,
     make_box_config,
-    root_distances,
+    root_balls,
 )
 from bandapprox.domset import RootSet, sample_certified
 from bandapprox.flow import approx_bandwidth_alg2
@@ -29,9 +29,9 @@ from helpers import box_gap_violations, brute_force_matching_size, complete_grap
 def pinned_table(g, seed, boxsize, nroots=3):
     rs = sample_certified(g, nroots, seed=seed)
     cfg = make_box_config(g.n, boxsize)
-    dists = root_distances(g, rs)
+    balls = root_balls(g, rs)
     rp = next(iter(enumerate_placements(rs, cfg)))
-    return build_intervals(g, rs, rp, cfg, dists), cfg
+    return build_intervals(g, rs, rp, cfg, balls), cfg
 
 
 class TestBuildAuxiliary:
@@ -46,7 +46,7 @@ class TestBuildAuxiliary:
         rs = RootSet(roots=(0, 4), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
         table = build_intervals(
-            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 7)), cfg, root_distances(g, rs)
+            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 7)), cfg, root_balls(g, rs)
         )
         aux = build_auxiliary(table, cfg)
         assert aux.adj[2] == ()
@@ -170,11 +170,11 @@ class TestPipeline:
             layout, boxsize, stats = approx_bandwidth_alg1(g, seed=seed, record_trace=True)
             rs = sample_certified(g, stats.root_count, seed=seed)
             cfg = make_box_config(g.n, boxsize)
-            dists = root_distances(g, rs)
+            balls = root_balls(g, rs)
             winning = stats.trace[-1]
             assert winning[2] is True
             rp = RootPlacement(roots=rs.roots, boxes=winning[1])
-            table = build_intervals(g, rs, rp, cfg, dists)
+            table = build_intervals(g, rs, rp, cfg, balls)
             assert box_gap_violations(g, layout, table, cfg) == []
 
     def test_perfect_matching_exists_at_optimal_configuration(self):
@@ -183,12 +183,12 @@ class TestPipeline:
             value, witness = exact_bandwidth(g)
             cfg = make_box_config(g.n, max(value, 1))
             rs = sample_certified(g, 3, seed=seed)
-            dists = root_distances(g, rs)
+            balls = root_balls(g, rs)
             rp = RootPlacement(
                 roots=rs.roots,
                 boxes=tuple(cfg.box_of(witness.pos[r]) for r in rs.roots),
             )
-            table = build_intervals(g, rs, rp, cfg, dists)
+            table = build_intervals(g, rs, rp, cfg, balls)
             aux = build_auxiliary(table, cfg)
             assert max_matching(aux).is_perfect(g.n)
 

@@ -23,6 +23,7 @@ from bandapprox.boxes import (
     enumerate_placements,
     hall_violation,
     make_box_config,
+    root_balls,
     root_distances,
     root_twins,
     root_windows,
@@ -105,8 +106,11 @@ def matching_feasible(table, cfg):
 
 def brute_force_cases():
     """Small graphs whose every placement is cheap to decide, for each of
-    the three window rules.  The dense graphs have diameter 2, so only the
-    planted path powers put vertices three hops from a root."""
+    the three window rules.  The dense graphs have diameter 2, so all their
+    two-hop roots are twins and only the planted path powers put vertices
+    three hops from a root.  With five twin roots in nine or ten vertices a
+    look-ahead that put every unplaced twin in the last twin's box would
+    cut prefixes that have a feasible completion."""
     for idx in range(8):
         n = 8 + idx % 4
         g = gen_dense_random(n, 0.5, 4100 + idx)
@@ -114,17 +118,30 @@ def brute_force_cases():
             rs = sample_certified(g, 3, seed=idx, hop_radius=hop_radius)
             yield g, rs, use_3hop
     for idx in range(4):
+        g = gen_dense_random(9 + idx % 2, 0.3, 4200 + idx)
+        yield g, sample_certified(g, 5, seed=idx), True
+    for idx in range(4):
         g = planted_band(10 + idx % 2, 2, idx)
         for use_3hop in (True, False):
             yield g, sample_certified(g, 3, seed=idx), use_3hop
 
 
+def twin_ordered(boxes, twins):
+    """Whether every twin class takes non-decreasing boxes."""
+    return all(boxes[t] <= boxes[d] for d, t in enumerate(twins) if t >= 0)
+
+
 class TestPlacementPrefix:
     def test_cuts_are_sound_and_exact_at_leaves(self):
-        prefixes = cut = three_hop = 0
+        # every twin-ordered prefix, each cut checked against every
+        # twin-ordered completion: the look-ahead over the next root's twin
+        # class assumes that order
+        prefixes = cut = looked_ahead = three_hop = 0
         for g, rs, use_3hop in brute_force_cases():
             dists = root_distances(g, rs)
-            windows = root_windows(rs, dists, use_3hop)
+            balls = root_balls(g, rs)
+            windows = root_windows(rs, balls, g.n, use_3hop)
+            twins = root_twins(balls)
             three_hop += sum(map(len, windows[1]))
             k = len(rs.roots)
             for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
@@ -135,13 +152,15 @@ class TestPlacementPrefix:
                         cfg,
                     )
                     for rp in enumerate_placements(rs, cfg)
+                    if twin_ordered(rp.boxes, twins)
                 }
-                prefix = PlacementPrefix(g.n, cfg, *windows)
+                prefix = PlacementPrefix(g.n, cfg, *windows, twins=twins)
                 fresh = (prefix.lo[:], prefix.hi[:], [row[:] for row in prefix.count])
 
                 def visit(d):
-                    nonlocal prefixes, cut
-                    for box in range(1, cfg.b + 1):
+                    nonlocal prefixes, cut, looked_ahead
+                    floor = prefix.boxes[twins[d]] if twins[d] >= 0 else 1
+                    for box in range(floor, cfg.b + 1):
                         if not prefix.has_room(box):
                             continue
                         prefix.place(d, box)
@@ -154,6 +173,10 @@ class TestPlacementPrefix:
                         if reason is not None:
                             cut += 1
                             assert not completable, (placed, reason)
+                            # cut by the look-ahead alone
+                            looked_ahead += not prefix.empty and hall_violation(
+                                prefix.count, prefix.cum
+                            ) is None
                         if d == k - 1:
                             assert (reason is None) == feasible[placed], placed
                         else:
@@ -163,7 +186,7 @@ class TestPlacementPrefix:
                 visit(0)
                 assert (prefix.lo, prefix.hi, prefix.count) == fresh
                 assert prefix.boxes == [0] * k and prefix.empty == 0
-        assert cut > 0 and prefixes > cut and three_hop > 0
+        assert prefixes > cut > looked_ahead > 0 and three_hop > 0
 
 
 def reference_layout(table, cfg, backend):
@@ -251,7 +274,7 @@ def twin_classes(twins):
 def floor_free_winner(g, rs, use_3hop=True):
     """First feasible (box size, boxes) of the walk without twin floors:
     every root tries every box from 1 up."""
-    windows = root_windows(rs, root_distances(g, rs), use_3hop)
+    windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
     for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
         prefix = PlacementPrefix(g.n, make_box_config(g.n, boxsize), *windows)
         boxes, k, b = prefix.boxes, len(prefix.boxes), prefix.cfg.b
@@ -288,7 +311,7 @@ class TestTwinFloors:
         g = make_graph(12, [(i, j) for i in range(12) for j in range(i + 1, min(12, i + 5))])
         rs = RootSet(roots=(0, 3, 5, 8, 11), hop_radius=2, certified=True)
         dists = root_distances(g, rs)
-        classes = twin_classes(root_twins(rs, dists))
+        classes = twin_classes(root_twins(root_balls(g, rs)))
         assert sorted(map(len, classes)) == [1, 1, 3]
         pairs = [(c[i], c[j]) for c in classes for i in range(len(c)) for j in range(i + 1, len(c))]
         verdicts = Counter()
@@ -311,10 +334,22 @@ class TestTwinFloors:
         rs = sample_certified(g, stats.root_count, seed=0)
         k = len(rs.roots)
         # diameter 2: every root's two-hop ball is the whole graph
-        assert root_twins(rs, root_distances(g, rs)) == tuple(range(-1, k - 1))
+        assert root_twins(root_balls(g, rs)) == tuple(range(-1, k - 1))
         assert floor_free_winner(g, rs) == (boxsize, stats.trace[-1][1])
         configs = Counter(size for size, _, _ in stats.trace)
         for size, tried in configs.items():
             b = make_box_config(n, size).b
             assert tried <= comb(k + b - 1, b - 1), (size, tried)
         assert all(list(boxes) == sorted(boxes) for _, boxes, _ in stats.trace)
+
+    @pytest.mark.parametrize("n,gseed", DENSE_SCAN_SHAPED, ids=[f"n{n}-{s}" for n, s in DENSE_SCAN_SHAPED])
+    def test_dense_scan_shaped_walks_visit_at_most_k_plus_b_nodes(self, n, gseed):
+        # every root is a twin here: per box size, the look-ahead leaves the
+        # walk the k' nodes on its way to the winner and at most b cut ones
+        g = gen_dense_random(n, 0.3, gseed)
+        for label, run in (("alg2", approx_bandwidth_alg2), ("alg1", approx_bandwidth_alg1)):
+            _, boxsize, stats = run(g, seed=0)
+            sizes = range(max(1, degree_lower_bound(g)), boxsize + 1)
+            assert stats.boxsizes_tried == len(sizes), label
+            bound = sum(stats.root_count + make_box_config(n, size).b for size in sizes)
+            assert stats.nodes_visited <= bound, (label, stats.nodes_visited, bound)
