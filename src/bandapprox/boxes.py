@@ -4,34 +4,35 @@ admissible box intervals.
 This is the shared front end of both approximation back ends: positions
 1..n are grouped into boxes of ``boxsize`` consecutive positions, roots are
 assigned to boxes without exceeding any box's capacity, and each vertex
-gets an interval of boxes it may occupy — the intersection of a window of
-+/-2 boxes around each root within two hops and (by default) +/-3 around
-each root at exactly three hops.  For the one-hop baseline the window is
-+/-1 around each neighboring root.
+gets an interval of boxes it may occupy.  One rule gives it: a vertex ``h``
+hops from a root stays within ``w(h)`` boxes of that root's box, with
+``w = 2`` up to two hops and (by default) ``w = 3`` at exactly three hops
+for the two-hop pipelines, and ``w = 1`` for the one-hop baseline's
+neighbors.
 
 Every root's ball (the vertices within ``hop_radius`` hops) and ring (those
 one hop further) come from one truncated layer walk on the adjacency
 bitsets, :func:`root_balls`; everything the search needs of the graph is
 read off these masks.  The window rule lives in two places only:
-:func:`root_windows` says which vertices each root constrains and by how
-many boxes, and
-:meth:`PlacementPrefix.place` intersects the windows.  Non-root vertices
-that every root sees alike (near, far or outside its windows) always get
-the same interval, so :func:`root_windows` groups them into classes and
-the windows list one representative per class; the prefix weighs each
-class by its size in the Hall histogram and expands it back to vertices
-only when it reads off an interval table.  On a diameter-2 graph every
-non-root lies in every root's near window, so there is one class.  The
-search in :mod:`bandapprox.search` walks placements with a
-:class:`PlacementPrefix` and reads the winner's table off it;
-:func:`build_intervals` and :func:`update_intervals` place a whole
-placement into a fresh one.  :func:`enumerate_placements` lists every
-placement in the order that search visits them, and :func:`root_twins`
-names the roots whose windows agree, whose boxes the search may sort.
-:meth:`PlacementPrefix.cut` uses the twins to look ahead: the unplaced
-members of the next root's twin class lie between their placed twin's box
-and the box of the class's last member, and the prefix is cut when no
-choice of that last box passes the Hall test.
+:func:`root_windows` turns the masks into one :class:`RootWindows` record,
+each root's windows as ``(width, members)`` layers plus the roots' twin
+links, and :meth:`PlacementPrefix.place` intersects the windows.  Non-root
+vertices that every root holds in the same window, or in none, always get
+the same interval, so the record groups them into classes and the windows
+list one representative per class; the prefix weighs each class by its
+size in the Hall histogram and expands it back to vertices only when it
+reads off an interval table.  On a diameter-2 graph every non-root lies in
+every root's ball, so there is one class.  The search in
+:mod:`bandapprox.search` walks placements with a :class:`PlacementPrefix`
+and reads the winner's table off it; :func:`build_intervals` and
+:func:`update_intervals` place a whole placement into a fresh one.
+:func:`enumerate_placements` lists every placement in the order that
+search visits them, and :func:`root_twins` names the roots whose windows
+agree, whose boxes the search may sort.  :meth:`PlacementPrefix.cut` uses
+the twins to look ahead: the unplaced members of the next root's twin
+class lie between their placed twin's box and the box of the class's last
+member, and the prefix is cut when no choice of that last box passes the
+Hall test.
 """
 
 from __future__ import annotations
@@ -102,15 +103,21 @@ def enumerate_placements(rs: RootSet, cfg: BoxConfig) -> Iterator[RootPlacement]
     yield from rec(0)
 
 
-# ``(near, far, near_window, far_window, classes)`` as :func:`root_windows`
-# gives it
-RootWindows = tuple[
-    tuple[tuple[int, ...], ...],
-    tuple[tuple[int, ...], ...],
-    int,
-    int | None,
-    tuple[tuple[int, ...], ...],
-]
+@dataclass(frozen=True)
+class RootWindows:
+    """Which vertices each root constrains, and by how many boxes, as
+    :func:`root_windows` gives it.
+
+    ``layers[d]`` holds one ``(width, members)`` pair per window of root
+    ``d`` (aligned with ``rs.roots``): every listed vertex stays within
+    ``width`` boxes of the root's box.  ``members`` are class
+    representatives, each standing for its whole class in ``classes``.
+    ``twins[d]`` is the :func:`root_twins` link of root ``d``.
+    """
+
+    layers: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
+    classes: tuple[tuple[int, ...], ...]
+    twins: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -120,7 +127,7 @@ class IntervalTable:
 
     ``intervals[v]`` is ``(lo, hi)`` or ``None`` for an infeasible vertex;
     roots are pinned to their assigned box.  ``windows`` is the
-    :func:`root_windows` tuple the intervals were placed from.
+    :func:`root_windows` record the intervals were placed from.
     """
 
     cfg: BoxConfig
@@ -177,60 +184,51 @@ def root_windows(
     n: int,
     use_3hop: bool = True,
 ) -> RootWindows:
-    """``(near, far, near_window, far_window, classes)``: which of the
-    ``n`` vertices each root constrains, and by how many boxes.
+    """Which of the ``n`` vertices each root constrains, and by how many
+    boxes.
 
-    A vertex within ``near_window = rs.hop_radius`` hops of a root (in its
-    ball, as :func:`root_balls` gives it) stays within that many boxes of
-    it, one at exactly ``near_window + 1`` hops (in its ring) within
-    ``far_window = 3`` boxes; ``far_window`` is ``None`` when the
-    three-hop tightening is off or the roots are one-hop.  Roots are left
-    out: they are pinned to their own box instead.
+    Each root has one or two windows.  Its ball (as :func:`root_balls`
+    gives it) comes first, with width ``rs.hop_radius``: a vertex within
+    that many hops stays within that many boxes of the root.  With the
+    three-hop tightening on and two-hop roots, its ring follows, with
+    width 3: a vertex at exactly three hops stays within 3 boxes.  Roots
+    are left out: they are pinned to their own box instead.
 
     The non-root vertices are grouped into ``classes``: two share a class
-    iff every root holds both in its near window, both in its far window or
-    neither, so they get the same interval under every placement.  Each
-    class is a tuple of its members, ascending, and is represented by its
-    first member; the classes are sorted by representative.  ``near[d]``
-    and ``far[d]`` list the representatives of the classes root ``d``
-    (aligned with ``rs.roots``) holds in each window; ``far[d]`` is empty
-    without the tightening.  The classes come from partition refinement
-    over the roots' window bitmasks.  Only :meth:`PlacementPrefix.place`
-    intersects these windows.
+    iff every root holds both in the same window or neither, so they get
+    the same interval under every placement.  Each class is a tuple of its
+    members, ascending, and is represented by its first member; the classes
+    are sorted by representative, and each window lists the representatives
+    of the classes it holds.  The classes come from partition refinement
+    over the roots' window bitmasks.  ``twins`` are :func:`root_twins` of
+    ``balls``.  Only :meth:`PlacementPrefix.place` intersects these
+    windows.
     """
-    near_window = rs.hop_radius
-    far_window = 3 if (use_3hop and rs.hop_radius == 2) else None
+    widths = (rs.hop_radius, 3) if use_3hop and rs.hop_radius == 2 else (rs.hop_radius,)
+    twins = root_twins(balls)
     k = len(rs.roots)
     if k == n:  # nothing left to constrain
-        return ((),) * k, ((),) * k, near_window, far_window, ()
+        return RootWindows(layers=(tuple((w, ()) for w in widths),) * k, classes=(), twins=twins)
     non_roots = (1 << n) - 1
     for u in rs.roots:
         non_roots ^= 1 << u
-    windows = [
-        (ball & non_roots, ring & non_roots if far_window is not None else 0)
-        for ball, ring in balls
-    ]
+    # twins' balls agree, and so do their rings: one entry per twin class
+    masks = {ball: (ball & non_roots, ring & non_roots)[: len(widths)] for ball, ring in balls}
     blocks = [non_roots]
-    for near_mask, far_mask in windows:
-        outside = ~(near_mask | far_mask)
-        blocks = [
-            part
-            for block in blocks
-            for part in (block & near_mask, block & far_mask, block & outside)
-            if part
-        ]
+    for layer in masks.values():
+        parts = (*layer, ~sum(layer))  # a root's windows are disjoint
+        blocks = [part for block in blocks for mask in parts if (part := block & mask)]
     blocks.sort(key=lambda block: block & -block)  # by lowest member
     classes = tuple(map(_members, blocks))
-    reps = [members[0] for members in classes]
-    near = tuple(
-        tuple(r for r, block in zip(reps, blocks) if block & near_mask)
-        for near_mask, _ in windows
-    )
-    far = tuple(
-        tuple(r for r, block in zip(reps, blocks) if block & far_mask)
-        for _, far_mask in windows
-    )
-    return near, far, near_window, far_window, classes
+    pairs = [(members[0], block) for members, block in zip(classes, blocks)]
+    listed = {}
+    for ball, layer in masks.items():
+        # list comprehensions: generators cost more at these sizes
+        listed[ball] = tuple(
+            [(w, tuple([r for r, block in pairs if block & mask])) for w, mask in zip(widths, layer)]
+        )
+    layers = tuple(listed[ball] for ball, _ in balls)
+    return RootWindows(layers=layers, classes=classes, twins=twins)
 
 
 def root_twins(balls: RootBalls) -> tuple[int, ...]:
@@ -239,11 +237,10 @@ def root_twins(balls: RootBalls) -> tuple[int, ...]:
 
     Two roots are closed twins when their balls of radius ``hop_radius``
     agree, roots included: then every vertex falls in the same window class
-    for both, since a ball ``B`` also fixes the next layer ``N(B) - B`` that
-    the far window covers.  Swapping the boxes of two twins changes no
-    interval and no box load, so a placement is feasible iff the one with
-    each twin class's boxes sorted is.  Each root is keyed by its ball's
-    bitmask.
+    for both, since a ball ``B`` also fixes the next layer ``N(B) - B``, the
+    ring.  Swapping the boxes of two twins changes no interval and no box
+    load, so a placement is feasible iff the one with each twin class's
+    boxes sorted is.  Each root is keyed by its ball's bitmask.
     """
     last: dict[int, int] = {}
     twins = []
@@ -283,44 +280,31 @@ class PlacementPrefix:
 
     ``boxes[d]`` is root ``d``'s box, 0 while unplaced.  ``lo``/``hi`` hold
     the intervals of the non-root classes, indexed by representative: the
-    intersection of the windows of the placed roots that constrain the
-    class (``near[d]``/``far[d]`` list those of root ``d``, and ``classes``
-    the members of each, as :func:`root_windows` gives them).  :meth:`place`
-    is the one code that intersects root windows: the search walks
-    placements with it and :func:`build_intervals` places whole placements
-    with it.  ``count`` is the histogram the Hall test reads, in vertices:
-    each class weighs its size, each placed root is pinned to ``(k, k)``,
-    each unplaced one counted as ``(1, b)`` and empty intervals left out
-    (``empty`` counts their vertices).  Roots are placed in index order and
-    retracted last in, first out; each placement costs O(classes the root
-    constrains), one step for all non-roots on a diameter-2 graph.
+    intersection of the windows of the placed roots that hold the class
+    (``layers[d]`` lists root ``d``'s ``(width, members)`` windows, and
+    ``classes`` the members of each class, as the :class:`RootWindows`
+    record gives them).  :meth:`place` is the one code that intersects
+    root windows: the search walks placements with it and
+    :func:`build_intervals` places whole placements with it.  ``count`` is
+    the histogram the Hall test reads, in vertices: each class weighs its
+    size, each placed root is pinned to ``(k, k)``, each unplaced one
+    counted as ``(1, b)`` and empty intervals left out (``empty`` counts
+    their vertices).  Roots are placed in index order and retracted last
+    in, first out; each placement costs O(classes the root constrains), one
+    step for all non-roots on a diameter-2 graph.
 
-    ``twins`` are the :func:`root_twins` links, all -1 (no twins) by
-    default.  With them, :meth:`cut` assumes the completions are
-    twin-ordered, each twin class taking non-decreasing boxes, and looks
-    ahead over the next root's twin class.
+    :meth:`cut` assumes the completions are twin-ordered, each class of
+    the record's ``twins`` taking non-decreasing boxes, and looks ahead
+    over the next root's twin class.
     """
 
-    def __init__(
-        self,
-        n: int,
-        cfg: BoxConfig,
-        near: Sequence[Sequence[int]],
-        far: Sequence[Sequence[int]],
-        near_window: int,
-        far_window: int | None,
-        classes: Sequence[Sequence[int]],
-        twins: Sequence[int] | None = None,
-    ) -> None:
-        b = cfg.b
-        k = len(near)
+    def __init__(self, cfg: BoxConfig, windows: RootWindows) -> None:
+        n, b = cfg.n, cfg.b
+        k = len(windows.layers)
         self.cfg = cfg
-        self.near = near
-        self.far = far
-        self.near_window = near_window
-        self.far_window = far_window
-        self.classes = classes
-        self.twins = tuple(twins) if twins is not None else (-1,) * k
+        self.layers = windows.layers
+        self.classes = windows.classes
+        self.twins = windows.twins
         # rest[d]: the members of root d's twin class from d on
         self.rest = [1] * k
         for d in range(k - 1, -1, -1):
@@ -333,12 +317,12 @@ class PlacementPrefix:
         self.lo = [1] * n
         self.hi = [b] * n
         self.weight = [0] * n
-        for members in classes:
+        for members in self.classes:
             self.weight[members[0]] = len(members)
         self.count = [[0] * (b + 1) for _ in range(b + 1)]
         self.count[1][b] = n
         self.empty = 0
-        self._undo: list[list[tuple[int, int, int]]] = [[] for _ in near]
+        self._undo: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
 
     def has_room(self, box: int) -> bool:
         return self.load[box] < self.cfg.capacities[box - 1]
@@ -347,9 +331,7 @@ class PlacementPrefix:
         """Intersect every class root ``d`` constrains with its window
         around ``box``, logging each old interval in ``changed``."""
         lo, hi, count, weight = self.lo, self.hi, self.count, self.weight
-        for members, width in ((self.near[d], self.near_window), (self.far[d], self.far_window)):
-            if not members:
-                continue
+        for width, members in self.layers[d]:
             a, z = box - width, box + width
             for v in members:
                 lv, hv = lo[v], hi[v]
@@ -461,7 +443,7 @@ def _placed_intervals(
 ) -> tuple[tuple[int, int] | None, ...]:
     """Every root of ``rp`` placed into a fresh :class:`PlacementPrefix`,
     then its intervals read off."""
-    prefix = PlacementPrefix(cfg.n, cfg, *windows)
+    prefix = PlacementPrefix(cfg, windows)
     for d, box in enumerate(rp.boxes):
         prefix.place(d, box)
     return prefix.intervals(rp.roots)
@@ -479,17 +461,16 @@ def build_intervals(
     :func:`root_balls`.
 
     Requires a certified root set: certification is what guarantees every
-    non-root vertex lies in some root's near window, so an unconstrained
-    interval cannot occur.
+    non-root vertex lies in some root's ball, its first window, so an
+    unconstrained interval cannot occur.
     """
     if not rs.certified:
         raise ValueError("root set must be certified before building intervals")
     if rp.roots != rs.roots:
         raise ValueError("placement roots differ from the root set")
     windows = root_windows(rs, balls, g.n, use_3hop)
-    near, _, _, _, classes = windows
-    held = set().union(*near)
-    for members in classes:
+    held = {v for layer in windows.layers for v in layer[0][1]}  # the balls
+    for members in windows.classes:
         if members[0] not in held:
             raise AssertionError(
                 f"certified root set leaves vertex {members[0]} unconstrained"

@@ -72,9 +72,11 @@ class SamplingParams:
 class RootSet:
     """A sampled candidate root set.
 
-    ``certified`` means domination at ``hop_radius`` has been verified
-    against the graph; ``attempts`` records how many draws certification
-    took (when it was produced by :func:`sample_certified`).
+    ``roots`` are strictly ascending and nonnegative: the search indexes
+    roots by their position in this tuple.  ``certified`` means domination
+    at ``hop_radius`` has been verified against the graph; ``attempts``
+    records how many draws certification took (when it was produced by
+    :func:`sample_certified`).
     """
 
     roots: tuple[int, ...]
@@ -87,6 +89,8 @@ class RootSet:
             raise ValueError("hop_radius must be 1 or 2")
         if not self.roots:
             raise ValueError("root set must be nonempty")
+        if self.roots[0] < 0 or any(u >= v for u, v in zip(self.roots, self.roots[1:])):
+            raise ValueError(f"roots must be strictly ascending and nonnegative, got {self.roots}")
 
 
 def _size_from_logs(numerator: float, delta: float) -> int:

@@ -131,8 +131,9 @@ def parse_graph(text: str) -> Graph:
     """Parse the edge-list interchange format.
 
     First line is ``"n m"``; each of the following ``m`` lines is ``"u v"``
-    with 0-based ids, no self-loops, no duplicates.  Blank lines are only
-    tolerated after the last edge.
+    with 0-based ids, no self-loops, no duplicates.  Blank lines after the
+    header are skipped, between edges too; a blank first line is a missing
+    header.
     """
     lines = text.splitlines()
     if not lines or not lines[0].strip():

@@ -1,57 +1,24 @@
 """Shared search over box sizes and root placements driving both back ends.
 
 One driver owns the whole pipeline: measure density, size and certify the
-root sample, read each root's ball and ring off one truncated layer walk
-on the adjacency bitsets (:func:`~bandapprox.boxes.root_balls`), then scan
-box sizes ascending and, for each, walk root placements depth first in
-lexicographic order over the sorted roots, never putting more roots in a
-box than it has positions.
-
-Boxes form a line and every vertex may use an interval of boxes, so a
-complete assignment of vertices to positions exists iff every contiguous
-box range ``[i, j]`` holds at most as many vertices whose interval lies
-inside it as its capacity (Hall's theorem for convex bipartite graphs).
-Placing a root only shrinks intervals, and a root not yet placed counts as
-``[1, b]``, so a prefix with an empty interval or a violated range has no
-feasible completion and is cut.  At a complete placement the test is exact:
-the first one that passes is the first feasible configuration in the order
-of :func:`~bandapprox.boxes.enumerate_placements`.  Only there is the
-interval table built and the chosen back end (Hopcroft-Karp matching or
-compressed max flow) run, to extract the layout; a back end that disagrees
-with the Hall test raises ``AssertionError``.
-
-Roots whose hop balls agree are twins (:func:`~bandapprox.boxes.root_twins`):
-they constrain every vertex alike, so swapping their boxes changes no
-interval and no load, and sorting the boxes of each twin class keeps a
-feasible placement feasible while making it no later in lexicographic
-order.  The walk therefore starts each root at its previous twin's box and
-visits only twin-ordered placements; the first feasible one is the same.
-On a diameter-2 graph every root is a twin of every other, so a box size
-with ``b`` boxes has at most ``C(k'+b-1, b-1)`` complete placements, the box
-multisets, instead of ``b**k'``.
-
-Twin order also lets the cut look ahead
-(:meth:`~bandapprox.boxes.PlacementPrefix.cut`): when the next root has a
-placed twin in box ``f``, its class's unplaced members lie in ``f..y`` for
-``y`` the box of the class's last member, and a prefix for which no ``y``
-passes the Hall test is cut.  On the diameter-2 dense-scan graphs this
-leaves ``k'+1`` nodes per call: one root box cut, then straight down to
-the winner.
-
-The walk's prefix and the Hall test,
-:class:`~bandapprox.boxes.PlacementPrefix` and
-:func:`~bandapprox.boxes.hall_violation`, live in :mod:`bandapprox.boxes`
-next to the window rule: ``PlacementPrefix.place`` is the one code that
-intersects root windows.  It works on classes of non-root vertices that
-every root sees alike (:func:`~bandapprox.boxes.root_windows`), each
-weighted by its size in the Hall histogram, so a step of the walk costs
-O(classes), not O(n); a diameter-2 graph has a single class.  The winner's
-interval table is read off the walk's own prefix, which expands the
-classes back to vertices.
+root sample, read each root's ball and ring off the adjacency bitsets
+(:func:`~bandapprox.boxes.root_balls`) and turn them into one
+:class:`~bandapprox.boxes.RootWindows` record, then scan box sizes
+ascending from the degree lower bound.  For each box size the walk places
+roots into a :class:`~bandapprox.boxes.PlacementPrefix` depth first, in
+lexicographic order over the sorted roots, each root starting at its
+previous twin's box and never putting more roots in a box than it has
+positions; it drops every prefix that
+:meth:`~bandapprox.boxes.PlacementPrefix.cut` rules out.  So the first
+complete placement that passes is the first feasible twin-ordered one in
+lexicographic order.  Only there is the interval table read off the prefix
+and the chosen back end (Hopcroft-Karp matching or compressed max flow)
+run, to extract the layout; a back end that disagrees with the Hall test
+raises ``AssertionError``.
 
 A *config* (``SearchStats.configs_tried``, the ``configs`` of reports and
 bench rows) is a complete twin-ordered placement the walk reached,
-feasible or not; a prefix the look-ahead cuts reaches none.
+feasible or not; a prefix the cut removes reaches none.
 """
 
 from __future__ import annotations
@@ -66,7 +33,6 @@ from .boxes import (
     RootPlacement,
     make_box_config,
     root_balls,
-    root_twins,
     root_windows,
 )
 # Not called here; bound because perfbench/tracer.py wraps these names in
@@ -186,11 +152,10 @@ def run_search(
 
     t0 = time.perf_counter()
     windows = root_windows(rs, balls, n, use_3hop)
-    twins = root_twins(balls)
     start = max(degree_lower_bound(g), 1)
     layout = None
     for boxsize in range(start, n + 1):
-        layout = _scan_boxsize(g, rs, windows, twins, backend, stats, boxsize)
+        layout = _scan_boxsize(g, rs, windows, backend, stats, boxsize)
         if layout is not None:
             break
     stats.time_scan = time.perf_counter() - t0
@@ -202,10 +167,10 @@ def run_search(
     return layout, boxsize, stats
 
 
-def _scan_boxsize(g, rs, windows, twins, backend, stats, boxsize):
+def _scan_boxsize(g, rs, windows, backend, stats, boxsize):
     cfg = make_box_config(g.n, boxsize)
     stats.boxsizes_tried += 1
-    prefix = PlacementPrefix(g.n, cfg, *windows, twins=twins)
+    prefix = PlacementPrefix(cfg, windows)
     boxes = _first_feasible_placement(prefix, stats)
     if boxes is None:
         return None

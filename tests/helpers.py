@@ -15,7 +15,7 @@ from math import sqrt
 
 import numpy as np
 
-from bandapprox.boxes import BoxConfig, IntervalTable, RootPlacement
+from bandapprox.boxes import BoxConfig, IntervalTable, RootPlacement, RootWindows
 from bandapprox.domset import RootSet
 from bandapprox.flow import FlowInstance
 from bandapprox.graph import Graph, make_graph
@@ -25,7 +25,7 @@ from bandapprox.util import ceil_snapped
 ENUMERATION_CAP = 10
 
 
-def synthetic_table(intervals, cfg: BoxConfig, near_window=2, far_window=3) -> IntervalTable:
+def synthetic_table(intervals, cfg: BoxConfig) -> IntervalTable:
     """IntervalTable with given intervals and roots that constrain nothing,
     so the non-roots form one class; enough for auxiliary-graph building,
     counting, and conversion, none of which consult the windows."""
@@ -33,14 +33,16 @@ def synthetic_table(intervals, cfg: BoxConfig, near_window=2, far_window=3) -> I
         v for v, iv in enumerate(intervals) if iv is not None and iv[0] == iv[1]
     )
     placement = RootPlacement(roots=roots, boxes=tuple(intervals[r][0] for r in roots))
-    nothing = ((),) * len(roots)
     others = tuple(v for v in range(len(intervals)) if v not in roots)
-    return IntervalTable(
-        cfg=cfg,
-        placement=placement,
-        intervals=tuple(intervals),
-        windows=(nothing, nothing, near_window, far_window, (others,) if others else ()),
+    windows = RootWindows(
+        layers=((),) * len(roots), classes=(others,) if others else (), twins=(-1,) * len(roots)
     )
+    return IntervalTable(cfg=cfg, placement=placement, intervals=tuple(intervals), windows=windows)
+
+
+def three_hop_listings(windows: RootWindows) -> int:
+    """How many class representatives the roots hold in +/-3 windows."""
+    return sum(len(members) for layer in windows.layers for width, members in layer if width == 3)
 
 
 def reference_intervals(g: Graph, rs: RootSet, rp: RootPlacement, cfg: BoxConfig,
@@ -143,8 +145,7 @@ def box_gap_violations(g: Graph, layout, table: IntervalTable, cfg: BoxConfig):
     ``(u, v, gap, gamma)`` tuples; empty on every layout the two-hop
     pipeline emits.
     """
-    _, _, near_window, far_window, _ = table.windows
-    if near_window != 2 or far_window is None:
+    if [width for width, _ in table.windows.layers[0]] != [2, 3]:
         raise ValueError("gap analysis applies to two-hop tables with the "
                          "three-hop tightening enabled")
     boxes = table.placement.as_mapping()

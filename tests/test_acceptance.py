@@ -43,6 +43,7 @@ from helpers import (
     path_graph,
     planted_band,
     reference_intervals,
+    three_hop_listings,
 )
 
 
@@ -220,7 +221,7 @@ class TestAcceptance:
             rs = sample_certified(g, 3, seed=1)
             dists = root_distances(g, rs)
             balls = root_balls(g, rs)
-            three_hop += sum(map(len, root_windows(rs, balls, g.n)[1]))
+            three_hop += three_hop_listings(root_windows(rs, balls, g.n))
             checked_here = 0
             while checked_here < 1000:
                 boxsize = rng.randrange(max(1, exact_lower(g)), g.n + 1)

@@ -26,6 +26,7 @@ from helpers import (
     path_graph,
     planted_band,
     reference_intervals,
+    three_hop_listings,
 )
 
 
@@ -266,7 +267,7 @@ class TestUpdateIntervals:
         g = planted_band(18, 3, seed)
         rs = sample_certified(g, 3, seed=seed)
         dists = root_distances(g, rs)
-        assert any(root_windows(rs, root_balls(g, rs), g.n)[1])
+        assert three_hop_listings(root_windows(rs, root_balls(g, rs), g.n))
         self._random_updates(g, rs, make_box_config(g.n, 3), dists, seed)
 
     def test_exhaustive_small_instance(self):
@@ -382,7 +383,8 @@ class TestVertexClasses:
     def test_classes_are_the_window_signatures(self, case):
         g, rs, use_3hop = CLASS_CASES[case]
         dists = root_distances(g, rs)
-        near, far, _, _, classes = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
+        windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
+        classes = windows.classes
         non_roots = [v for v in range(g.n) if v not in rs.roots]
         assert sorted(v for members in classes for v in members) == non_roots
         assert sum(map(len, classes)) == g.n - len(rs.roots)
@@ -394,14 +396,17 @@ class TestVertexClasses:
             for v in members:
                 assert window_signature(rs, dists, v, use_3hop) == signature
         assert len(set(signatures)) == len(classes)
-        for d in range(len(rs.roots)):
-            for kind, listed in (("near", near[d]), ("far", far[d])):
+        # each root's ball, then its ring only with the tightening
+        widths = [rs.hop_radius, 3] if use_3hop and rs.hop_radius == 2 else [rs.hop_radius]
+        for d, layer in enumerate(windows.layers):
+            assert [width for width, _ in layer] == widths
+            for kind, (_, listed) in zip(("near", "far"), layer):
                 assert listed == tuple(
                     members[0] for members, sig in zip(classes, signatures) if sig[d] == kind
                 )
 
     def test_path_powers_split_into_several_classes(self):
-        sizes = [len(root_windows(rs, root_balls(g, rs), g.n, use_3hop)[4])
+        sizes = [len(root_windows(rs, root_balls(g, rs), g.n, use_3hop).classes)
                  for g, rs, use_3hop in CLASS_CASES]
         assert max(sizes) >= 4
 
@@ -409,15 +414,16 @@ class TestVertexClasses:
     def test_dense_scan_shaped_graphs_have_one_class(self, n, seed):
         g = gen_dense_random(n, 0.3, seed)
         rs = sample_certified(g, 8, seed=seed)
-        near, far, _, _, classes = root_windows(rs, root_balls(g, rs), g.n)
+        windows = root_windows(rs, root_balls(g, rs), g.n)
+        classes = windows.classes
         assert len(classes) == 1 and len(classes[0]) == n - 8
-        assert near == ((classes[0][0],),) * 8 and far == ((),) * 8
+        assert windows.layers == (((2, (classes[0][0],)), (3, ())),) * 8
 
     def test_every_vertex_a_root_has_no_classes(self):
         g = planted_band(12, 2, 0)
         rs = every_vertex_a_root(g)
-        near, far, _, _, classes = root_windows(rs, root_balls(g, rs), g.n)
-        assert classes == () and near == far == ((),) * g.n
+        windows = root_windows(rs, root_balls(g, rs), g.n)
+        assert windows.classes == () and windows.layers == (((2, ()), (3, ())),) * g.n
 
     @pytest.mark.parametrize("case", range(len(CLASS_CASES)))
     def test_every_prefix_node_matches_the_reference(self, case):
@@ -427,7 +433,7 @@ class TestVertexClasses:
         dists = root_distances(g, rs)
         windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
         cfg = make_box_config(g.n, 3)
-        prefix = PlacementPrefix(g.n, cfg, *windows)
+        prefix = PlacementPrefix(cfg, windows)
         assert sum(prefix.weight) == g.n - len(rs.roots)
         k = len(rs.roots)
         nodes = 0

@@ -144,6 +144,14 @@ class TestSampling:
         with pytest.raises(ValueError):
             RootSet(roots=(0,), hop_radius=3)
 
+    @pytest.mark.parametrize("roots", [(2, 2), (3, 1), (0, 4, 4, 5), (-1, 2)])
+    def test_rootset_rejects_duplicate_unsorted_or_negative_roots(self, roots):
+        # a duplicated root used to toggle its own bit back into the
+        # non-root mask of root_windows, so (2, 2) on a 6-path put root 2
+        # into the non-root class (0, 1, 2, 3, 4)
+        with pytest.raises(ValueError, match="strictly ascending"):
+            RootSet(roots=roots, hop_radius=2)
+
 
 class TestDomination:
     def test_whole_vertex_set_dominates(self):

@@ -75,6 +75,14 @@ class TestParse:
         g = parse_graph("2 1\n0 1\n\n")
         assert g.m == 1
 
+    def test_blank_line_between_edges_is_skipped(self):
+        assert parse_graph("3 2\n0 1\n\n1 2\n").edges == parse_graph("3 2\n0 1\n1 2\n").edges
+
+    def test_leading_blank_line_is_a_missing_header(self):
+        with pytest.raises(GraphParseError) as exc:
+            parse_graph("\n3 2\n0 1\n1 2\n")
+        assert exc.value.line_no == 1
+
     def test_roundtrip_examples(self):
         for g in (path_graph(5), complete_graph(6), empty_graph(3)):
             assert parse_graph(serialize_graph(g)).edges == g.edges

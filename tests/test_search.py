@@ -47,7 +47,7 @@ from bandapprox.matching import (
     normalize_matching,
 )
 from bandapprox.oracle import degree_lower_bound
-from helpers import planted_band, reference_intervals, synthetic_table
+from helpers import planted_band, reference_intervals, synthetic_table, three_hop_listings
 
 # (name, pipeline, keyword arguments, back end, three-hop tightening)
 VARIANTS = (
@@ -141,8 +141,9 @@ class TestPlacementPrefix:
             dists = root_distances(g, rs)
             balls = root_balls(g, rs)
             windows = root_windows(rs, balls, g.n, use_3hop)
-            twins = root_twins(balls)
-            three_hop += sum(map(len, windows[1]))
+            twins = windows.twins
+            assert twins == root_twins(balls)
+            three_hop += three_hop_listings(windows)
             k = len(rs.roots)
             for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
                 cfg = make_box_config(g.n, boxsize)
@@ -154,7 +155,7 @@ class TestPlacementPrefix:
                     for rp in enumerate_placements(rs, cfg)
                     if twin_ordered(rp.boxes, twins)
                 }
-                prefix = PlacementPrefix(g.n, cfg, *windows, twins=twins)
+                prefix = PlacementPrefix(cfg, windows)
                 fresh = (prefix.lo[:], prefix.hi[:], [row[:] for row in prefix.count])
 
                 def visit(d):
@@ -273,10 +274,12 @@ def twin_classes(twins):
 
 def floor_free_winner(g, rs, use_3hop=True):
     """First feasible (box size, boxes) of the walk without twin floors:
-    every root tries every box from 1 up."""
+    every root tries every box from 1 up, and the cut looks ahead over no
+    twins."""
     windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
+    windows = replace(windows, twins=(-1,) * len(rs.roots))
     for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
-        prefix = PlacementPrefix(g.n, make_box_config(g.n, boxsize), *windows)
+        prefix = PlacementPrefix(make_box_config(g.n, boxsize), windows)
         boxes, k, b = prefix.boxes, len(prefix.boxes), prefix.cfg.b
         d = 0
         while d >= 0:
