@@ -8,62 +8,25 @@ auxiliary-graph perfect-matching back end and a compressed max-flow back
 end whose feasibility instance has size independent of the graph.  An
 exact branch-and-bound oracle covers desk-scale instances for
 approximation-ratio measurements.
+
+The package root holds the user API; the pipeline's internals (sampling,
+boxes and intervals, the search, the flow and matching back ends) are
+imported from their own modules.
 """
 
-from .boxes import (
-    BoxConfig,
-    IntervalTable,
-    RootPlacement,
-    build_intervals,
-    enumerate_placements,
-    make_box_config,
-    root_balls,
-    root_distances,
-    update_intervals,
-)
-from .domset import (
-    CertificationError,
-    RootSet,
-    SamplingParams,
-    is_dominating,
-    k_size,
-    kprime_size,
-    sample_certified,
-    sample_rootset,
-)
-from .flow import (
-    FlowInstance,
-    FlowResult,
-    IntervalCounts,
-    approx_bandwidth_alg2,
-    build_flow_instance,
-    count_intervals,
-    flow_to_layout,
-    max_flow,
-)
+from .domset import CertificationError, SamplingParams
+from .flow import approx_bandwidth_alg2
 from .graph import (
-    DistanceMap,
     Graph,
     GraphParseError,
-    bfs_from_set,
     density,
     gen_dense_random,
-    hop_balls,
     make_graph,
     min_degree,
     parse_graph,
     serialize_graph,
 )
-from .matching import (
-    AuxGraph,
-    Matching,
-    approx_bandwidth_alg1,
-    approx_bandwidth_baseline,
-    build_auxiliary,
-    matching_to_layout,
-    max_matching,
-    normalize_matching,
-)
+from .matching import approx_bandwidth_alg1, approx_bandwidth_baseline
 from .oracle import (
     DEFAULT_ORACLE_CAP,
     Layout,
@@ -74,64 +37,32 @@ from .oracle import (
     layout_bandwidth,
     parse_layout,
 )
-from .search import InfeasibleError, SearchStats, run_search
+from .search import InfeasibleError, SearchStats
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuxGraph",
-    "BoxConfig",
     "CertificationError",
     "DEFAULT_ORACLE_CAP",
-    "DistanceMap",
-    "FlowInstance",
-    "FlowResult",
     "Graph",
     "GraphParseError",
     "InfeasibleError",
-    "IntervalCounts",
-    "IntervalTable",
     "Layout",
-    "Matching",
     "OracleCapError",
-    "RootPlacement",
-    "RootSet",
     "SamplingParams",
     "SearchStats",
     "approx_bandwidth_alg1",
     "approx_bandwidth_alg2",
     "approx_bandwidth_baseline",
-    "bfs_from_set",
-    "build_auxiliary",
-    "build_flow_instance",
-    "build_intervals",
-    "count_intervals",
     "degree_lower_bound",
     "density",
-    "enumerate_placements",
     "exact_bandwidth",
-    "flow_to_layout",
     "format_layout",
     "gen_dense_random",
-    "hop_balls",
-    "is_dominating",
-    "k_size",
-    "kprime_size",
     "layout_bandwidth",
-    "make_box_config",
     "make_graph",
-    "matching_to_layout",
-    "max_flow",
-    "max_matching",
     "min_degree",
-    "normalize_matching",
     "parse_graph",
     "parse_layout",
-    "root_balls",
-    "root_distances",
-    "run_search",
-    "sample_certified",
-    "sample_rootset",
     "serialize_graph",
-    "update_intervals",
 ]

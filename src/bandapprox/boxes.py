@@ -143,7 +143,7 @@ def root_distances(g: Graph, rs: RootSet) -> dict[int, tuple[int | None, ...]]:
     :func:`root_balls`.  They remain for callers that want the distances
     themselves.
     """
-    return {u: bfs_from_set(g, (u,)).dist for u in rs.roots}
+    return {u: bfs_from_set(g, (u,)) for u in rs.roots}
 
 
 # ``(ball, ring)`` bitmasks per root, as :func:`root_balls` gives them

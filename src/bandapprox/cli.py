@@ -10,10 +10,9 @@ import argparse
 import csv
 import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
-from .domset import CertificationError, SamplingParams
+from .domset import DEFAULT_MAX_TRIES, CertificationError, SamplingParams
 from .flow import approx_bandwidth_alg2
 from .graph import (
     Graph,
@@ -56,59 +55,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class RunReport:
-    """One approximation run, as printed by ``approx`` (line-oriented).
-
-    Timing fields exist on every run but are only printed on request, so
-    that a fixed seed yields byte-identical default output.
-    """
-
-    algorithm: str
-    seed: int
-    n: int
-    m: int
-    delta: float
-    alpha: float
-    c: float
-    roots: int
-    certify_attempts: int
-    boxsize: int
-    bandwidth: int
-    configs: int
-    exact: int | None = None
-    ratio: float | None = None
-    time_certify: float = 0.0
-    time_bfs: float = 0.0
-    time_scan: float = 0.0
-    time_total: float = 0.0
-
-    def lines(self, include_timings: bool = False) -> list[str]:
-        out = [
-            f"algorithm: {self.algorithm}",
-            f"seed: {self.seed}",
-            f"n: {self.n}",
-            f"m: {self.m}",
-            f"delta: {self.delta:.6g}",
-            f"alpha: {self.alpha:.6g}",
-            f"c: {self.c:.6g}",
-            f"roots: {self.roots}",
-            f"certify_attempts: {self.certify_attempts}",
-            f"boxsize: {self.boxsize}",
-            f"bandwidth: {self.bandwidth}",
-            f"configs: {self.configs}",
-        ]
-        if self.exact is not None:
-            out.append(f"exact: {self.exact}")
-            out.append(f"ratio: {self.ratio:.4f}")
-        if include_timings:
-            out.append(f"time_certify_s: {self.time_certify:.6f}")
-            out.append(f"time_bfs_s: {self.time_bfs:.6f}")
-            out.append(f"time_scan_s: {self.time_scan:.6f}")
-            out.append(f"time_total_s: {self.time_total:.6f}")
-        return out
-
-
 def oracle_cap() -> int:
     raw = os.environ.get(ORACLE_CAP_ENV)
     if raw is None:
@@ -135,25 +81,37 @@ def _run_algorithm(g: Graph, alg: str, seed: int, args) -> tuple:
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
-def _report_from_stats(g: Graph, stats: SearchStats, boxsize: int, bw: int) -> RunReport:
-    return RunReport(
-        algorithm=stats.algorithm,
-        seed=stats.seed,
-        n=g.n,
-        m=g.m,
-        delta=stats.delta,
-        alpha=stats.alpha,
-        c=stats.c,
-        roots=stats.root_count,
-        certify_attempts=stats.certify_attempts,
-        boxsize=boxsize,
-        bandwidth=bw,
-        configs=stats.configs_tried,
-        time_certify=stats.time_certify,
-        time_bfs=stats.time_bfs,
-        time_scan=stats.time_scan,
-        time_total=stats.time_total,
-    )
+def _report_lines(
+    stats: SearchStats, m: int, boxsize: int, bw: int, exact: int | None, timings: bool
+) -> list[str]:
+    """The ``approx`` report, one ``key: value`` line each.
+
+    Timings are printed only on request, so that a fixed seed yields
+    byte-identical default output.
+    """
+    out = [
+        f"algorithm: {stats.algorithm}",
+        f"seed: {stats.seed}",
+        f"n: {stats.n}",
+        f"m: {m}",
+        f"delta: {stats.delta:.6g}",
+        f"alpha: {stats.alpha:.6g}",
+        f"c: {stats.c:.6g}",
+        f"roots: {stats.root_count}",
+        f"certify_attempts: {stats.certify_attempts}",
+        f"boxsize: {boxsize}",
+        f"bandwidth: {bw}",
+        f"configs: {stats.configs_tried}",
+    ]
+    if exact is not None:
+        ratio = bw / exact if exact > 0 else 1.0
+        out += [f"exact: {exact}", f"ratio: {ratio:.4f}"]
+    if timings:
+        out.append(f"time_certify_s: {stats.time_certify:.6f}")
+        out.append(f"time_bfs_s: {stats.time_bfs:.6f}")
+        out.append(f"time_scan_s: {stats.time_scan:.6f}")
+        out.append(f"time_total_s: {stats.time_total:.6f}")
+    return out
 
 
 def cmd_generate(args) -> int:
@@ -178,11 +136,8 @@ def cmd_approx(args) -> int:
     g = _read_graph(args.graph)
     layout, boxsize, stats = _run_algorithm(g, args.alg, args.seed, args)
     bw = layout_bandwidth(g, layout)
-    report = _report_from_stats(g, stats, boxsize, bw)
-    if args.with_exact:
-        report.exact, _ = exact_bandwidth(g, cap=oracle_cap())
-        report.ratio = bw / report.exact if report.exact > 0 else 1.0
-    print("\n".join(report.lines(include_timings=args.timings)))
+    exact = exact_bandwidth(g, cap=oracle_cap())[0] if args.with_exact else None
+    print("\n".join(_report_lines(stats, g.m, boxsize, bw, exact, args.timings)))
     if args.layout_out is None:
         print()
         sys.stdout.write(format_layout(layout))
@@ -259,7 +214,7 @@ def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
                    help="slack constant in the second-stage sample size")
     p.add_argument("--delta", type=float, default=None,
                    help="assume this density instead of measuring it")
-    p.add_argument("--max-tries", type=int, default=50,
+    p.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES,
                    help="certification attempts before giving up")
     p.add_argument("--no-3hop", action="store_true",
                    help="drop the three-hop window tightening (wider layouts)")

@@ -14,6 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .boxes import BoxConfig, IntervalTable
+from .domset import DEFAULT_MAX_TRIES
 from .graph import Graph
 from .oracle import Layout
 
@@ -231,7 +232,7 @@ def approx_bandwidth_alg2(
     seed: int = 0,
     *,
     use_3hop: bool = True,
-    max_tries: int = 50,
+    max_tries: int = DEFAULT_MAX_TRIES,
     record_trace: bool = False,
 ):
     """Approximate bandwidth with the compressed-flow feasibility test.

@@ -58,28 +58,6 @@ class Graph:
         return len(self.adj[v])
 
 
-@dataclass(frozen=True)
-class DistanceMap:
-    """Hop distances from a source set; ``None`` marks unreachable vertices."""
-
-    sources: tuple[int, ...]
-    dist: tuple[int | None, ...]
-
-    def layer(self, h: int) -> tuple[int, ...]:
-        """Vertices at hop distance exactly ``h`` from the source set."""
-        return tuple(v for v, d in enumerate(self.dist) if d == h)
-
-    def max_distance(self) -> int | None:
-        """Largest finite distance, or ``None`` if any vertex is unreachable."""
-        worst = 0
-        for d in self.dist:
-            if d is None:
-                return None
-            if d > worst:
-                worst = d
-        return worst
-
-
 def _add_edge(seen: set[tuple[int, int]], n: int, u: int, v: int) -> None:
     """Add edge ``(u, v)`` to ``seen`` as ``(min, max)``; ``ValueError`` on
     an id outside ``0..n-1``, a self-loop or a duplicate."""
@@ -201,16 +179,16 @@ def _source_mask(g: Graph, sources: Iterable[int]) -> int:
     return mask
 
 
-def bfs_from_set(g: Graph, sources: Iterable[int]) -> DistanceMap:
-    """Exact hop distances from the nearest source, via multi-source BFS.
+def bfs_from_set(g: Graph, sources: Iterable[int]) -> tuple[int | None, ...]:
+    """Exact hop distances from the nearest source, via multi-source BFS:
+    ``dist[v]`` for every vertex, ``None`` where ``v`` is unreachable.
 
     The search runs layer by layer on :attr:`Graph.adj_masks`: the next
     layer is the union of the current layer's neighbourhoods minus every
     vertex already reached, one bitwise OR per vertex instead of one test
     per edge.
     """
-    src = tuple(sorted(set(sources)))
-    layer = _source_mask(g, src)
+    layer = _source_mask(g, sources)
     masks = g.adj_masks
     dist: list[int | None] = [None] * g.n
     unseen = ((1 << g.n) - 1) ^ layer
@@ -226,7 +204,7 @@ def bfs_from_set(g: Graph, sources: Iterable[int]) -> DistanceMap:
         layer = reach & unseen
         unseen ^= layer
         h += 1
-    return DistanceMap(sources=src, dist=tuple(dist))
+    return tuple(dist)
 
 
 def hop_balls(g: Graph, sources: Iterable[int], radius: int) -> list[int]:

@@ -12,6 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .boxes import BoxConfig, IntervalTable
+from .domset import DEFAULT_MAX_TRIES
 from .graph import Graph
 from .oracle import Layout
 
@@ -168,7 +169,7 @@ def approx_bandwidth_alg1(
     seed: int = 0,
     *,
     use_3hop: bool = True,
-    max_tries: int = 50,
+    max_tries: int = DEFAULT_MAX_TRIES,
     record_trace: bool = False,
 ):
     """Approximate bandwidth via placement search + perfect matching.
@@ -198,7 +199,7 @@ def approx_bandwidth_baseline(
     params=None,
     seed: int = 0,
     *,
-    max_tries: int = 50,
+    max_tries: int = DEFAULT_MAX_TRIES,
     record_trace: bool = False,
 ):
     """Comparison mode: one-hop dominating roots with +/-1 windows feeding

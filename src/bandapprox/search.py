@@ -43,7 +43,7 @@ from .boxes import (  # noqa: F401
     root_distances,
     update_intervals,
 )
-from .domset import SamplingParams, k_size, kprime_size, sample_certified
+from .domset import DEFAULT_MAX_TRIES, SamplingParams, k_size, kprime_size, sample_certified
 from .flow import build_flow_instance, count_intervals, flow_to_layout, max_flow
 from .graph import Graph, density
 from .matching import build_auxiliary, matching_to_layout, max_matching, normalize_matching
@@ -108,7 +108,7 @@ def run_search(
     backend: str,
     hop_radius: int,
     use_3hop: bool,
-    max_tries: int = 50,
+    max_tries: int = DEFAULT_MAX_TRIES,
     record_trace: bool = False,
     label: str = "",
 ) -> tuple[Layout, int, SearchStats]:

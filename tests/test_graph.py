@@ -109,29 +109,23 @@ class TestDegrees:
 
 class TestBfs:
     def test_path_from_endpoint(self):
-        dm = bfs_from_set(path_graph(4), [0])
-        assert dm.dist == (0, 1, 2, 3)
+        assert bfs_from_set(path_graph(4), [0]) == (0, 1, 2, 3)
 
     def test_all_sources(self):
         g = er_graph(7, 0.4, 3)
-        dm = bfs_from_set(g, range(7))
-        assert dm.dist == (0,) * 7
+        assert bfs_from_set(g, range(7)) == (0,) * 7
 
     def test_k5_single_source(self):
-        dm = bfs_from_set(complete_graph(5), [2])
-        assert dm.dist == (1, 1, 0, 1, 1)
+        assert bfs_from_set(complete_graph(5), [2]) == (1, 1, 0, 1, 1)
 
     def test_unreachable_sentinel(self):
         g = make_graph(4, [(0, 1)])
-        dm = bfs_from_set(g, [0])
-        assert dm.dist == (0, 1, None, None)
-        assert dm.max_distance() is None
+        assert bfs_from_set(g, [0]) == (0, 1, None, None)
 
     def test_layers(self):
-        g = path_graph(5)
-        dm = bfs_from_set(g, [0])
-        assert dm.layer(1) == (1,)
-        assert dm.layer(2) == (2,)
+        dist = bfs_from_set(path_graph(5), [0])
+        assert [v for v, d in enumerate(dist) if d == 1] == [1]
+        assert [v for v, d in enumerate(dist) if d == 2] == [2]
 
     def test_empty_sources_rejected(self):
         with pytest.raises(ValueError):
@@ -139,9 +133,9 @@ class TestBfs:
 
     def test_neighbor_distances_differ_by_at_most_one(self):
         g = er_graph(20, 0.2, 9)
-        dm = bfs_from_set(g, [0, 5])
+        dist = bfs_from_set(g, [0, 5])
         for u, v in g.edges:
-            du, dv = dm.dist[u], dm.dist[v]
+            du, dv = dist[u], dist[v]
             if du is not None and dv is not None:
                 assert abs(du - dv) <= 1
 
@@ -150,8 +144,7 @@ class TestBfs:
         n = (10, 21, 34, 50)[seed % 4]
         g = er_graph(n, 0.12, seed)  # sparse enough to be disconnected sometimes
         sources = [seed % n, (seed * 7 + 1) % n]
-        dm = bfs_from_set(g, sources)
-        assert list(dm.dist) == floyd_warshall_from_set(g, sources)
+        assert list(bfs_from_set(g, sources)) == floyd_warshall_from_set(g, sources)
 
 
 class TestBitsetBfs:
@@ -160,17 +153,15 @@ class TestBitsetBfs:
     def test_multi_source_matches_floyd_warshall(self, n, p, seed, data):
         g = er_graph(n, p, seed)  # sparse draws leave it disconnected
         sources = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
-        assert list(bfs_from_set(g, sources).dist) == floyd_warshall_from_set(g, sources)
+        assert list(bfs_from_set(g, sources)) == floyd_warshall_from_set(g, sources)
 
     def test_disconnected_components(self):
         # a path 0-3, a 5-cycle 4-8, an edge 9-10 and the isolated vertex 11
         edges = [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7), (7, 8), (4, 8), (9, 10)]
         g = make_graph(12, edges)
         for sources in ([0], [3, 6], [11], [2, 9, 11], list(range(12))):
-            assert list(bfs_from_set(g, sources).dist) == floyd_warshall_from_set(g, sources)
-        dm = bfs_from_set(g, [3, 6])
-        assert dm.sources == (3, 6)
-        assert dm.dist == (3, 2, 1, 0, 2, 1, 0, 1, 2, None, None, None)
+            assert list(bfs_from_set(g, sources)) == floyd_warshall_from_set(g, sources)
+        assert bfs_from_set(g, [3, 6]) == (3, 2, 1, 0, 2, 1, 0, 1, 2, None, None, None)
 
     @settings(max_examples=120, deadline=None)
     @given(st.integers(1, 24), st.floats(0.0, 0.4), st.integers(0, 10**6), st.data())

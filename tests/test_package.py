@@ -1,0 +1,87 @@
+"""The package root's user API, the shared ``max_tries`` default, and the
+benchmark tracer's bindings into the library's modules."""
+
+from __future__ import annotations
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+import pytest
+
+import bandapprox
+from bandapprox import boxes, cli, domset, flow, graph, matching, oracle, search
+
+TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+
+USER_API = {
+    # the pipelines and the exact oracle
+    "approx_bandwidth_alg1", "approx_bandwidth_alg2", "approx_bandwidth_baseline",
+    "exact_bandwidth",
+    # graph and layout I/O
+    "Graph", "make_graph", "parse_graph", "serialize_graph", "gen_dense_random",
+    "density", "min_degree", "Layout", "layout_bandwidth", "format_layout",
+    "parse_layout", "degree_lower_bound", "DEFAULT_ORACLE_CAP",
+    # parameters and statistics
+    "SamplingParams", "SearchStats",
+    # errors
+    "CertificationError", "GraphParseError", "InfeasibleError", "OracleCapError",
+}
+
+
+class TestPackageRoot:
+    def test_all_is_the_user_api(self):
+        assert len(bandapprox.__all__) == len(USER_API) == 23
+        assert set(bandapprox.__all__) == USER_API
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict = {}
+        exec("from bandapprox import *", namespace)
+        namespace.pop("__builtins__")
+        assert set(namespace) == set(bandapprox.__all__)
+        for name in bandapprox.__all__:
+            assert namespace[name] is getattr(bandapprox, name)
+
+
+class TestMaxTriesDefault:
+    @pytest.mark.parametrize("fn", [
+        search.run_search, flow.approx_bandwidth_alg2, matching.approx_bandwidth_alg1,
+        matching.approx_bandwidth_baseline, domset.sample_certified,
+    ])
+    def test_library_defaults(self, fn):
+        assert inspect.signature(fn).parameters["max_tries"].default == domset.DEFAULT_MAX_TRIES
+
+    @pytest.mark.parametrize("command", [["approx", "g.txt"], ["bench"]])
+    def test_cli_default(self, command):
+        args = cli.build_parser().parse_args(command)
+        assert args.max_tries == domset.DEFAULT_MAX_TRIES
+
+
+class TestTracerBindings:
+    """``perfbench/tracer.py`` wraps library names by module attribute, so
+    deleting or renaming a name it binds breaks the benchmark.  Load it
+    read-only, install it and take it off again."""
+
+    def load_tracer(self):
+        pytest.importorskip("numpy")
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.Tracer()
+
+    def test_install_then_uninstall_restores_every_attribute(self):
+        modules = (boxes, domset, flow, graph, oracle, search)
+        before = [dict(vars(m)) for m in modules]
+        tracer = self.load_tracer()
+        tracer.install()
+        try:
+            patched = list(tracer._saved)
+            assert patched
+            for module, attr, original in patched:
+                assert getattr(module, attr) is not original
+                assert getattr(module, attr).__wrapped__ is original
+        finally:
+            tracer.uninstall()
+        for module, attr, original in patched:
+            assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
+        assert [dict(vars(m)) for m in modules] == before
