@@ -10,6 +10,11 @@ hops from a root stays within ``w(h)`` boxes of that root's box, with
 for the two-hop pipelines, and ``w = 1`` for the one-hop baseline's
 neighbors.
 
+A placement is the tuple of the roots' boxes, aligned with ``rs.roots``,
+and its intervals are one tuple over the vertices: ``(lo, hi)``, or
+``None`` where the windows leave a vertex no box.  That tuple is all the
+back ends read.
+
 Every root's ball (the vertices within ``hop_radius`` hops) and ring (those
 one hop further) come from one truncated layer walk on the adjacency
 bitsets, :func:`root_balls`; everything the search needs of the graph is
@@ -21,23 +26,23 @@ vertices that every root holds in the same window, or in none, always get
 the same interval, so the record groups them into classes and the windows
 list one representative per class; the prefix weighs each class by its
 size in the Hall histogram and expands it back to vertices only when it
-reads off an interval table.  On a diameter-2 graph every non-root lies in
+reads off the intervals.  On a diameter-2 graph every non-root lies in
 every root's ball, so there is one class.  The search in
 :mod:`bandapprox.search` walks placements with a :class:`PlacementPrefix`
-and reads the winner's table off it; :func:`build_intervals` and
-:func:`update_intervals` place a whole placement into a fresh one.
-:func:`enumerate_placements` lists every placement in the order that
-search visits them, and :func:`root_twins` names the roots whose windows
-agree, whose boxes the search may sort.  :meth:`PlacementPrefix.cut` uses
-the twins to look ahead: the unplaced members of the next root's twin
-class lie between their placed twin's box and the box of the class's last
-member, and the prefix is cut when no choice of that last box passes the
-Hall test.
+and reads the winner's intervals off it; :func:`update_intervals` places a
+whole placement into a fresh one, and :func:`build_intervals` does so
+straight from the root balls.  :func:`enumerate_placements` lists every
+placement in the order that search visits them, and :func:`root_twins`
+names the roots whose windows agree, whose boxes the search may sort.
+:meth:`PlacementPrefix.cut` uses the twins to look ahead: the unplaced
+members of the next root's twin class lie between their placed twin's box
+and the box of the class's last member, and the prefix is cut when no
+choice of that last box passes the Hall test.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Iterator, Sequence
 
@@ -70,27 +75,16 @@ def make_box_config(n: int, boxsize: int) -> BoxConfig:
     return BoxConfig(n=n, boxsize=boxsize, b=b, capacities=capacities)
 
 
-@dataclass(frozen=True, order=True)
-class RootPlacement:
-    """Assignment of each root to a box; ``boxes`` is aligned with ``roots``."""
-
-    roots: tuple[int, ...]
-    boxes: tuple[int, ...]
-
-    def as_mapping(self) -> dict[int, int]:
-        return dict(zip(self.roots, self.boxes))
-
-
-def enumerate_placements(rs: RootSet, cfg: BoxConfig) -> Iterator[RootPlacement]:
-    """All capacity-respecting root-to-box maps, in lexicographic order
-    over the sorted root list."""
-    roots = rs.roots
+def enumerate_placements(rs: RootSet, cfg: BoxConfig) -> Iterator[tuple[int, ...]]:
+    """All capacity-respecting placements, each the tuple of the roots'
+    boxes (aligned with ``rs.roots``), in lexicographic order."""
+    k = len(rs.roots)
     load = [0] * (cfg.b + 1)
     choice: list[int] = []
 
-    def rec(i: int) -> Iterator[RootPlacement]:
-        if i == len(roots):
-            yield RootPlacement(roots=roots, boxes=tuple(choice))
+    def rec(i: int) -> Iterator[tuple[int, ...]]:
+        if i == k:
+            yield tuple(choice)
             return
         for box in range(1, cfg.b + 1):
             if load[box] < cfg.capacities[box - 1]:
@@ -120,20 +114,8 @@ class RootWindows:
     twins: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class IntervalTable:
-    """Per-vertex admissible box range under one placement, plus the root
-    windows needed to recompute it for another without touching the graph.
-
-    ``intervals[v]`` is ``(lo, hi)`` or ``None`` for an infeasible vertex;
-    roots are pinned to their assigned box.  ``windows`` is the
-    :func:`root_windows` record the intervals were placed from.
-    """
-
-    cfg: BoxConfig
-    placement: RootPlacement
-    intervals: tuple[tuple[int, int] | None, ...]
-    windows: RootWindows
+# every vertex's ``(lo, hi)`` box interval, ``None`` where it is empty
+Intervals = tuple[tuple[int, int] | None, ...]
 
 
 def root_distances(g: Graph, rs: RootSet) -> dict[int, tuple[int | None, ...]]:
@@ -205,10 +187,6 @@ def root_windows(
     windows.
     """
     widths = (rs.hop_radius, 3) if use_3hop and rs.hop_radius == 2 else (rs.hop_radius,)
-    twins = root_twins(balls)
-    k = len(rs.roots)
-    if k == n:  # nothing left to constrain
-        return RootWindows(layers=(tuple((w, ()) for w in widths),) * k, classes=(), twins=twins)
     non_roots = (1 << n) - 1
     for u in rs.roots:
         non_roots ^= 1 << u
@@ -228,7 +206,7 @@ def root_windows(
             [(w, tuple([r for r, block in pairs if block & mask])) for w, mask in zip(widths, layer)]
         )
     layers = tuple(listed[ball] for ball, _ in balls)
-    return RootWindows(layers=layers, classes=classes, twins=twins)
+    return RootWindows(layers=layers, classes=classes, twins=root_twins(balls))
 
 
 def root_twins(balls: RootBalls) -> tuple[int, ...]:
@@ -420,12 +398,12 @@ class PlacementPrefix:
         count[1][b] += r
         return None if passed else "hall"
 
-    def intervals(self, roots: Sequence[int]) -> tuple[tuple[int, int] | None, ...]:
+    def intervals(self, roots: Sequence[int]) -> Intervals:
         """Every vertex's interval, as ``count`` weighs it: each class's
         members take their representative's, ``None`` if empty, and root
         ``roots[d]`` is pinned to ``boxes[d]``, or spans ``(1, b)`` while
-        unplaced.  Under a complete placement these are the ``intervals``
-        of its :class:`IntervalTable`."""
+        unplaced.  Under a complete placement these are the placement's
+        intervals, as :func:`update_intervals` gives them."""
         out: list[tuple[int, int] | None] = [None] * self.cfg.n
         lo, hi = self.lo, self.hi
         for members in self.classes:
@@ -438,59 +416,45 @@ class PlacementPrefix:
         return tuple(out)
 
 
-def _placed_intervals(
-    cfg: BoxConfig, rp: RootPlacement, windows: RootWindows
-) -> tuple[tuple[int, int] | None, ...]:
-    """Every root of ``rp`` placed into a fresh :class:`PlacementPrefix`,
-    then its intervals read off."""
+def update_intervals(
+    rs: RootSet, windows: RootWindows, cfg: BoxConfig, boxes: Sequence[int]
+) -> Intervals:
+    """Every vertex's interval under the placement ``boxes`` (aligned with
+    ``rs.roots``), from the :func:`root_windows` record ``windows``: each
+    root placed into a fresh :class:`PlacementPrefix`, then the intervals
+    read off.  Does no BFS and never touches the graph."""
+    if not rs.certified:
+        raise ValueError("root set must be certified before building intervals")
+    if len(boxes) != len(rs.roots):
+        raise ValueError(f"root count mismatch: {len(boxes)} boxes for {len(rs.roots)} roots")
     prefix = PlacementPrefix(cfg, windows)
-    for d, box in enumerate(rp.boxes):
+    for d, box in enumerate(boxes):
         prefix.place(d, box)
-    return prefix.intervals(rp.roots)
+    return prefix.intervals(rs.roots)
 
 
 def build_intervals(
     g: Graph,
     rs: RootSet,
-    rp: RootPlacement,
+    boxes: Sequence[int],
     cfg: BoxConfig,
     balls: RootBalls,
     use_3hop: bool = True,
-) -> IntervalTable:
-    """Interval table for one placement, from the precomputed
-    :func:`root_balls`.
+) -> Intervals:
+    """Every vertex's interval under the placement ``boxes``, from the
+    precomputed :func:`root_balls`: their :func:`root_windows`, then
+    :func:`update_intervals`.
 
     Requires a certified root set: certification is what guarantees every
     non-root vertex lies in some root's ball, its first window, so an
     unconstrained interval cannot occur.
     """
-    if not rs.certified:
-        raise ValueError("root set must be certified before building intervals")
-    if rp.roots != rs.roots:
-        raise ValueError("placement roots differ from the root set")
     windows = root_windows(rs, balls, g.n, use_3hop)
+    intervals = update_intervals(rs, windows, cfg, boxes)
     held = {v for layer in windows.layers for v in layer[0][1]}  # the balls
     for members in windows.classes:
         if members[0] not in held:
             raise AssertionError(
                 f"certified root set leaves vertex {members[0]} unconstrained"
             )
-    return IntervalTable(
-        cfg=cfg, placement=rp, intervals=_placed_intervals(cfg, rp, windows), windows=windows
-    )
-
-
-def update_intervals(
-    table: IntervalTable, old_rp: RootPlacement, new_rp: RootPlacement
-) -> IntervalTable:
-    """Recompute the table for a new placement from its stored root windows.
-
-    Equivalent to a fresh :func:`build_intervals` under ``new_rp`` but does
-    no BFS and never touches the graph.
-    """
-    if table.placement != old_rp:
-        raise ValueError("table was built for a different placement")
-    if new_rp.roots != table.placement.roots:
-        raise ValueError("root set mismatch between table and new placement")
-    intervals = _placed_intervals(table.cfg, new_rp, table.windows)
-    return replace(table, placement=new_rp, intervals=intervals)
+    return intervals

@@ -121,15 +121,6 @@ def kprime_size(n: int, params: SamplingParams) -> int:
     return _size_from_logs(k * params.c / params.alpha, params.delta_at(n))
 
 
-def sample_rootset(g: Graph, size: int, seed: int, hop_radius: int = 2) -> RootSet:
-    """Uniformly random vertex subset of the given size, uncertified."""
-    if not 1 <= size <= g.n:
-        raise ValueError(f"size must be in 1..{g.n}, got {size}")
-    rng = random.Random(seed)
-    roots = tuple(sorted(rng.sample(range(g.n), size)))
-    return RootSet(roots=roots, hop_radius=hop_radius)
-
-
 def is_dominating(g: Graph, rs: RootSet) -> bool:
     """Exact check that every vertex lies within ``hop_radius`` of the roots:
     one multi-source :func:`~bandapprox.graph.hop_balls` reach on the

@@ -1,11 +1,13 @@
 """Compressed max-flow feasibility test and its conversion back to a layout.
 
 Instead of matching n vertices to n positions, vertices are bucketed by
-their box interval: with b boxes there are at most 5b distinct intervals,
-so the flow network (source -> interval nodes -> box nodes -> sink) has a
-size independent of n.  A saturating integral flow of value n exists iff
-the auxiliary bipartite graph has a perfect matching, and its arc values
-say how many vertices of each interval class go to each box.
+their box interval (:func:`count_intervals` turns the per-vertex interval
+tuple into a dict from interval to vertex count): with b boxes there are
+at most 5b distinct intervals, so the flow network (source -> interval
+nodes -> box nodes -> sink) has a size independent of n.  A saturating
+integral flow of value n exists iff the auxiliary bipartite graph has a
+perfect matching, and its arc values say how many vertices of each
+interval class go to each box.
 """
 
 from __future__ import annotations
@@ -13,33 +15,23 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .boxes import BoxConfig, IntervalTable
+from .boxes import BoxConfig, Intervals
 from .domset import DEFAULT_MAX_TRIES
 from .graph import Graph
 from .oracle import Layout
 
 
-@dataclass(frozen=True)
-class IntervalCounts:
-    """Histogram of box intervals: counts[(i, j)] = number of vertices whose
-    admissible boxes are exactly i..j.  Roots appear as degenerate (k, k)."""
-
-    counts: dict[tuple[int, int], int]
-
-    @property
-    def total(self) -> int:
-        return sum(self.counts.values())
-
-
-def count_intervals(table: IntervalTable) -> IntervalCounts | None:
-    """Exact interval histogram, or ``None`` when some vertex has an empty
-    interval (the configuration is infeasible; not an error)."""
+def count_intervals(intervals: Intervals) -> dict[tuple[int, int], int] | None:
+    """Histogram of box intervals: ``counts[(i, j)]`` is the number of
+    vertices whose admissible boxes are exactly ``i..j``, roots as
+    degenerate ``(k, k)``.  ``None`` when some vertex has an empty interval
+    (the configuration is infeasible; not an error)."""
     counts: dict[tuple[int, int], int] = {}
-    for iv in table.intervals:
+    for iv in intervals:
         if iv is None:
             return None
         counts[iv] = counts.get(iv, 0) + 1
-    return IntervalCounts(counts=counts)
+    return counts
 
 
 @dataclass(frozen=True)
@@ -80,15 +72,15 @@ class FlowResult:
     arc_flow: tuple[int, ...]
 
 
-def build_flow_instance(counts: IntervalCounts, cfg: BoxConfig) -> FlowInstance:
-    keys = tuple(sorted(counts.counts))
+def build_flow_instance(counts: dict[tuple[int, int], int], cfg: BoxConfig) -> FlowInstance:
+    keys = tuple(sorted(counts))
     for i, j in keys:
         if not (1 <= i <= j <= cfg.b):
             raise ValueError(f"interval ({i}, {j}) out of range for b={cfg.b}")
     arcs: list[tuple[int, int, int]] = []
     k_count = len(keys)
     for idx, key in enumerate(keys):
-        arcs.append((0, 1 + idx, counts.counts[key]))
+        arcs.append((0, 1 + idx, counts[key]))
     for idx, (i, j) in enumerate(keys):
         for box in range(i, j + 1):
             arcs.append((1 + idx, 1 + k_count + (box - 1), cfg.n))
@@ -181,10 +173,10 @@ def _check_flow(inst: FlowInstance, value: int, flows: tuple[int, ...]) -> None:
 
 
 def flow_to_layout(
-    res: FlowResult, inst: FlowInstance, table: IntervalTable, cfg: BoxConfig
+    res: FlowResult, inst: FlowInstance, intervals: Intervals, cfg: BoxConfig
 ) -> Layout:
-    """Turn a saturating flow on ``inst``, the instance built from ``table``,
-    into a layout.
+    """Turn a saturating flow on ``inst``, the instance built from
+    ``intervals``, into a layout.
 
     For each interval-to-box arc carrying e units, the e lowest-id not yet
     placed vertices of that interval class go to that box; inside a box,
@@ -196,7 +188,7 @@ def flow_to_layout(
         raise ValueError("flow result does not match this instance")
 
     queues: dict[tuple[int, int], deque[int]] = {key: deque() for key in inst.keys}
-    for v, iv in enumerate(table.intervals):
+    for v, iv in enumerate(intervals):
         if iv not in queues:
             raise ValueError(f"vertex {v} has interval {iv}, not a class of this instance")
         queues[iv].append(v)  # vertex ids ascend, so each class queue does too

@@ -183,27 +183,17 @@ def bfs_from_set(g: Graph, sources: Iterable[int]) -> tuple[int | None, ...]:
     """Exact hop distances from the nearest source, via multi-source BFS:
     ``dist[v]`` for every vertex, ``None`` where ``v`` is unreachable.
 
-    The search runs layer by layer on :attr:`Graph.adj_masks`: the next
-    layer is the union of the current layer's neighbourhoods minus every
-    vertex already reached, one bitwise OR per vertex instead of one test
-    per edge.
+    Read off the :func:`hop_balls` layers: ``dist[v]`` is the first ``h``
+    whose ball holds ``v``.
     """
-    layer = _source_mask(g, sources)
-    masks = g.adj_masks
     dist: list[int | None] = [None] * g.n
-    unseen = ((1 << g.n) - 1) ^ layer
-    h = 0
-    while layer:
-        reach = 0
+    seen = 0
+    for h, ball in enumerate(hop_balls(g, sources, g.n - 1)):
+        layer, seen = ball ^ seen, ball
         while layer:
             low = layer & -layer
-            v = low.bit_length() - 1
+            dist[low.bit_length() - 1] = h
             layer ^= low
-            dist[v] = h
-            reach |= masks[v]
-        layer = reach & unseen
-        unseen ^= layer
-        h += 1
     return tuple(dist)
 
 
@@ -211,12 +201,12 @@ def hop_balls(g: Graph, sources: Iterable[int], radius: int) -> list[int]:
     """``balls[h]``, for ``h = 0..radius``: the bitmask of the vertices
     within ``h`` hops of the nearest source.
 
-    A :func:`bfs_from_set` cut off after ``radius`` layers that keeps only
+    A breadth-first search cut off after ``radius`` layers that keeps only
     the reached set, on :attr:`Graph.adj_masks`.  Each layer ORs the
     neighbourhoods of the vertices the last one newly reached and stops
     early once the union covers every vertex not yet reached; once nothing
-    is left to reach, the remaining balls repeat the last one.  Sources are
-    validated as :func:`bfs_from_set` validates them.
+    is left to reach, the remaining balls repeat the last one.  An empty
+    source set or one naming a vertex outside ``0..n-1`` is a ``ValueError``.
     """
     masks = g.adj_masks
     ball = _source_mask(g, sources)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 
-from .boxes import BoxConfig, IntervalTable
+from .boxes import BoxConfig, Intervals
 from .domset import DEFAULT_MAX_TRIES
 from .graph import Graph
 from .oracle import Layout
@@ -43,11 +43,10 @@ class Matching:
         return len(self.pairs) == n
 
 
-def build_auxiliary(table: IntervalTable, cfg: BoxConfig) -> AuxGraph:
+def build_auxiliary(intervals: Intervals, cfg: BoxConfig) -> AuxGraph:
     """Connect each vertex to every position of every box in its interval."""
     rows: list[tuple[int, ...]] = []
-    for v in range(cfg.n):
-        iv = table.intervals[v]
+    for iv in intervals:
         if iv is None:
             rows.append(())
             continue

@@ -11,7 +11,7 @@ previous twin's box and never putting more roots in a box than it has
 positions; it drops every prefix that
 :meth:`~bandapprox.boxes.PlacementPrefix.cut` rules out.  So the first
 complete placement that passes is the first feasible twin-ordered one in
-lexicographic order.  Only there is the interval table read off the prefix
+lexicographic order.  Only there are the intervals read off the prefix
 and the chosen back end (Hopcroft-Karp matching or compressed max flow)
 run, to extract the layout; a back end that disagrees with the Hall test
 raises ``AssertionError``.
@@ -26,15 +26,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, replace
 
-from .boxes import (
-    BoxConfig,
-    IntervalTable,
-    PlacementPrefix,
-    RootPlacement,
-    make_box_config,
-    root_balls,
-    root_windows,
-)
+from .boxes import BoxConfig, Intervals, PlacementPrefix, make_box_config, root_balls, root_windows
 # Not called here; bound because perfbench/tracer.py wraps these names in
 # this module.
 from .boxes import (  # noqa: F401
@@ -174,12 +166,8 @@ def _scan_boxsize(g, rs, windows, backend, stats, boxsize):
     boxes = _first_feasible_placement(prefix, stats)
     if boxes is None:
         return None
-    # the walk stops with the winner placed, so its prefix holds the table
-    rp = RootPlacement(roots=rs.roots, boxes=boxes)
-    table = IntervalTable(
-        cfg=cfg, placement=rp, intervals=prefix.intervals(rs.roots), windows=windows
-    )
-    layout = _extract_layout(table, cfg, backend, stats)
+    # the walk stops with the winner placed, so its prefix holds the intervals
+    layout = _extract_layout(prefix.intervals(rs.roots), cfg, backend, stats)
     if layout is None:
         raise AssertionError(
             f"{backend} back end rejects placement {boxes} at box size {boxsize}, "
@@ -231,21 +219,21 @@ def _first_feasible_placement(prefix: PlacementPrefix, stats: SearchStats):
     return None
 
 
-def _extract_layout(table, cfg: BoxConfig, backend: str, stats: SearchStats):
-    """Layout from the chosen back end, or ``None`` if it finds the table
-    infeasible."""
+def _extract_layout(intervals: Intervals, cfg: BoxConfig, backend: str, stats: SearchStats):
+    """Layout from the chosen back end, or ``None`` if it finds the
+    intervals infeasible."""
     if backend == "matching":
-        m = max_matching(build_auxiliary(table, cfg))
+        m = max_matching(build_auxiliary(intervals, cfg))
         if not m.is_perfect(cfg.n):
             return None
         return matching_to_layout(normalize_matching(m, cfg), cfg)
-    counts = count_intervals(table)
+    counts = count_intervals(intervals)
     if counts is None:
         return None
-    stats.max_interval_keys = len(counts.counts)
+    stats.max_interval_keys = len(counts)
     inst = build_flow_instance(counts, cfg)
     stats.max_flow_nodes = inst.node_count
     res = max_flow(inst)
     if res.value != cfg.n:
         return None
-    return flow_to_layout(res, inst, table, cfg)
+    return flow_to_layout(res, inst, intervals, cfg)

@@ -15,7 +15,7 @@ from math import sqrt
 
 import numpy as np
 
-from bandapprox.boxes import BoxConfig, IntervalTable, RootPlacement, RootWindows
+from bandapprox.boxes import BoxConfig, RootWindows
 from bandapprox.domset import RootSet
 from bandapprox.flow import FlowInstance
 from bandapprox.graph import Graph, make_graph
@@ -25,19 +25,13 @@ from bandapprox.util import ceil_snapped
 ENUMERATION_CAP = 10
 
 
-def synthetic_table(intervals, cfg: BoxConfig) -> IntervalTable:
-    """IntervalTable with given intervals and roots that constrain nothing,
-    so the non-roots form one class; enough for auxiliary-graph building,
-    counting, and conversion, none of which consult the windows."""
-    roots = tuple(
-        v for v, iv in enumerate(intervals) if iv is not None and iv[0] == iv[1]
-    )
-    placement = RootPlacement(roots=roots, boxes=tuple(intervals[r][0] for r in roots))
-    others = tuple(v for v in range(len(intervals)) if v not in roots)
-    windows = RootWindows(
-        layers=((),) * len(roots), classes=(others,) if others else (), twins=(-1,) * len(roots)
-    )
-    return IntervalTable(cfg=cfg, placement=placement, intervals=tuple(intervals), windows=windows)
+def sample_rootset(g: Graph, size: int, seed: int, hop_radius: int = 2) -> RootSet:
+    """Uniformly random vertex subset of the given size, uncertified."""
+    if not 1 <= size <= g.n:
+        raise ValueError(f"size must be in 1..{g.n}, got {size}")
+    rng = random.Random(seed)
+    roots = tuple(sorted(rng.sample(range(g.n), size)))
+    return RootSet(roots=roots, hop_radius=hop_radius)
 
 
 def three_hop_listings(windows: RootWindows) -> int:
@@ -45,15 +39,15 @@ def three_hop_listings(windows: RootWindows) -> int:
     return sum(len(members) for layer in windows.layers for width, members in layer if width == 3)
 
 
-def reference_intervals(g: Graph, rs: RootSet, rp: RootPlacement, cfg: BoxConfig,
+def reference_intervals(g: Graph, rs: RootSet, placement, cfg: BoxConfig,
                         dists, use_3hop: bool = True):
-    """Every vertex's box interval under a complete placement, derived vertex
-    by vertex straight from hop distances: a root sits in its own box; any
-    other vertex lies within ``hop_radius`` boxes of each root at most
-    ``hop_radius`` hops away and, for two-hop roots with the tightening on,
-    within 3 boxes of each root at exactly 3 hops.  ``None`` marks an empty
-    intersection."""
-    boxes = rp.as_mapping()
+    """Every vertex's box interval under a complete placement (the roots'
+    boxes, aligned with ``rs.roots``), derived vertex by vertex straight
+    from hop distances: a root sits in its own box; any other vertex lies
+    within ``hop_radius`` boxes of each root at most ``hop_radius`` hops
+    away and, for two-hop roots with the tightening on, within 3 boxes of
+    each root at exactly 3 hops.  ``None`` marks an empty intersection."""
+    boxes = dict(zip(rs.roots, placement))
     out = []
     for v in range(g.n):
         if v in boxes:
@@ -134,21 +128,21 @@ def floyd_warshall_from_set(g: Graph, sources) -> list[int | None]:
     return out
 
 
-def box_gap_violations(g: Graph, layout, table: IntervalTable, cfg: BoxConfig):
-    """Edges whose box gap exceeds the window case analysis.
+def box_gap_violations(g: Graph, layout, rs: RootSet, placement, cfg: BoxConfig):
+    """Edges whose box gap exceeds the window case analysis, for a layout
+    the two-hop pipeline emits with the three-hop tightening on under the
+    placement ``placement`` of ``rs``.
 
-    With the three-hop tightening on, an edge (u, v) whose designated roots
-    sit gamma boxes apart can span at most 7 - gamma boxes for
-    1 <= gamma <= 5 and at most 5 boxes for gamma = 0.  A root designates
-    itself, any other vertex its lowest root within two hops, found by
-    Floyd-Warshall rather than from the table's windows.  Returns offending
-    ``(u, v, gap, gamma)`` tuples; empty on every layout the two-hop
-    pipeline emits.
+    An edge (u, v) whose designated roots sit gamma boxes apart can span at
+    most 7 - gamma boxes for 1 <= gamma <= 5 and at most 5 boxes for
+    gamma = 0.  A root designates itself, any other vertex its lowest root
+    within two hops, found by Floyd-Warshall rather than from the root
+    windows.  Returns offending ``(u, v, gap, gamma)`` tuples; empty on
+    every such layout.
     """
-    if [width for width, _ in table.windows.layers[0]] != [2, 3]:
-        raise ValueError("gap analysis applies to two-hop tables with the "
-                         "three-hop tightening enabled")
-    boxes = table.placement.as_mapping()
+    if rs.hop_radius != 2:
+        raise ValueError("gap analysis applies to two-hop root sets")
+    boxes = dict(zip(rs.roots, placement))
     designated = {v: v for v in boxes}
     for u in sorted(boxes):
         for v, d in enumerate(floyd_warshall_from_set(g, [u])):

@@ -10,7 +10,6 @@ import time
 import numpy as np
 
 from bandapprox.boxes import (
-    RootPlacement,
     build_intervals,
     enumerate_placements,
     make_box_config,
@@ -19,7 +18,7 @@ from bandapprox.boxes import (
     root_windows,
     update_intervals,
 )
-from bandapprox.domset import SamplingParams, is_dominating, kprime_size, sample_certified, sample_rootset
+from bandapprox.domset import SamplingParams, is_dominating, kprime_size, sample_certified
 from bandapprox.flow import (
     approx_bandwidth_alg2,
     build_flow_instance,
@@ -43,6 +42,7 @@ from helpers import (
     path_graph,
     planted_band,
     reference_intervals,
+    sample_rootset,
     three_hop_listings,
 )
 
@@ -121,9 +121,9 @@ class TestAcceptance:
                     if use_3hop:
                         rs = sample_certified(g, stats.root_count, seed=seed)
                         cfg = make_box_config(g.n, boxsize)
-                        rp = RootPlacement(roots=rs.roots, boxes=stats.trace[-1][1])
-                        table = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
-                        gap_violations += len(box_gap_violations(g, layout, table, cfg))
+                        gap_violations += len(
+                            box_gap_violations(g, layout, rs, stats.trace[-1][1], cfg)
+                        )
         elapsed = time.perf_counter() - t0
         report(
             2, "approximation-ratio",
@@ -216,26 +216,24 @@ class TestAcceptance:
         mismatches = 0
         three_hop = 0
         # the dense graph has diameter 2; the path power puts vertices three
-        # hops from a root, so its tables also use the +/-3 windows
+        # hops from a root, so its intervals also use the +/-3 windows
         for g in (gen_dense_random(24, 0.4, 77), planted_band(24, 3, 0)):
             rs = sample_certified(g, 3, seed=1)
             dists = root_distances(g, rs)
             balls = root_balls(g, rs)
-            three_hop += three_hop_listings(root_windows(rs, balls, g.n))
+            windows = root_windows(rs, balls, g.n)
+            three_hop += three_hop_listings(windows)
             checked_here = 0
             while checked_here < 1000:
                 boxsize = rng.randrange(max(1, exact_lower(g)), g.n + 1)
                 cfg = make_box_config(g.n, boxsize)
                 placements = list(enumerate_placements(rs, cfg))
-                current = rng.choice(placements)
-                table = build_intervals(g, rs, current, cfg, balls)
                 for _ in range(min(40, 1000 - checked_here)):
                     target = rng.choice(placements)
-                    table = update_intervals(table, current, target)
-                    current = target
-                    fresh = build_intervals(g, rs, current, cfg, balls)
-                    reference = reference_intervals(g, rs, current, cfg, dists)
-                    if not table.intervals == fresh.intervals == reference:
+                    updated = update_intervals(rs, windows, cfg, target)
+                    fresh = build_intervals(g, rs, target, cfg, balls)
+                    reference = reference_intervals(g, rs, target, cfg, dists)
+                    if not updated == fresh == reference:
                         mismatches += 1
                     checked_here += 1
             checked += checked_here
@@ -295,24 +293,18 @@ def exhaustive_verdict_scan():
         n = 8 + idx % 7  # 8..14
         g = gen_dense_random(n, 0.5, 7000 + idx)
         rs = sample_certified(g, 3, seed=idx)
-        balls = root_balls(g, rs)
+        windows = root_windows(rs, root_balls(g, rs), n)
         for boxsize in range(max(1, exact_lower(g)), n + 1):
             cfg = make_box_config(n, boxsize)
-            table = None
-            prev = None
             for rp in enumerate_placements(rs, cfg):
-                if table is None:
-                    table = build_intervals(g, rs, rp, cfg, balls)
-                else:
-                    table = update_intervals(table, prev, rp)
-                prev = rp
+                intervals = update_intervals(rs, windows, cfg, rp)
                 configs += 1
-                matched = max_matching(build_auxiliary(table, cfg)).is_perfect(n)
-                counts = count_intervals(table)
+                matched = max_matching(build_auxiliary(intervals, cfg)).is_perfect(n)
+                counts = count_intervals(intervals)
                 if counts is None:
                     flows = False
                 else:
-                    if len(counts.counts) > 5 * cfg.b:
+                    if len(counts) > 5 * cfg.b:
                         size_violations += 1
                     inst = build_flow_instance(counts, cfg)
                     if inst.node_count > 2 + 6 * cfg.b:
@@ -326,32 +318,28 @@ def exhaustive_verdict_scan():
 def measure_feasibility_times(n, delta, seed, placements=6):
     """Mean per-configuration times: flow test vs matching phase.
 
-    Both back ends are timed on the same interval tables at boxsize
+    Both back ends are timed on the same intervals at boxsize
     ceil(delta*n) (so the box count stays fixed across n).  The flow
-    pipeline's steady state is table update -> count -> max flow, so the
-    one-time initial build is excluded from both timings.
+    pipeline's steady state is interval update -> count -> max flow, so the
+    one-time root windows are excluded from both timings.
     """
     g = gen_dense_random(n, delta, seed)
     params = SamplingParams(alpha=0.5, c=1.0, delta=delta)
     size = kprime_size(n, params)
     rs = sample_certified(g, size, seed)
-    balls = root_balls(g, rs)
     cfg = make_box_config(n, ceil_snapped(delta * n))
-    rps = list(itertools.islice(enumerate_placements(rs, cfg), placements + 1))
-    table = build_intervals(g, rs, rps[0], cfg, balls)
-    prev = rps[0]
+    windows = root_windows(rs, root_balls(g, rs), n)
     t_flow = t_match = 0.0
-    for rp in rps[1:]:
+    for rp in itertools.islice(enumerate_placements(rs, cfg), 1, placements + 1):
         t0 = time.perf_counter()
-        table = update_intervals(table, prev, rp)
-        counts = count_intervals(table)
+        intervals = update_intervals(rs, windows, cfg, rp)
+        counts = count_intervals(intervals)
         if counts is not None:
             max_flow(build_flow_instance(counts, cfg))
         t_flow += time.perf_counter() - t0
-        prev = rp
 
         t0 = time.perf_counter()
-        max_matching(build_auxiliary(table, cfg))
+        max_matching(build_auxiliary(intervals, cfg))
         t_match += time.perf_counter() - t0
     return t_flow / placements, t_match / placements
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from bandapprox.boxes import (
     PlacementPrefix,
-    RootPlacement,
     build_intervals,
     enumerate_placements,
     make_box_config,
@@ -77,14 +76,12 @@ class TestEnumeratePlacements:
     def test_single_root_order(self):
         rs = RootSet(roots=(2,), hop_radius=2, certified=True)
         cfg = make_box_config(6, 2)
-        boxes = [rp.boxes for rp in enumerate_placements(rs, cfg)]
-        assert boxes == [(1,), (2,), (3,)]
+        assert list(enumerate_placements(rs, cfg)) == [(1,), (2,), (3,)]
 
     def test_capacity_binds(self):
         rs = RootSet(roots=(0, 1), hop_radius=2, certified=True)
         cfg = make_box_config(2, 1)  # two boxes of capacity 1
-        boxes = [rp.boxes for rp in enumerate_placements(rs, cfg)]
-        assert boxes == [(1, 2), (2, 1)]
+        assert list(enumerate_placements(rs, cfg)) == [(1, 2), (2, 1)]
 
     def test_count_with_ample_capacity(self):
         rs = RootSet(roots=(0, 1, 2), hop_radius=2, certified=True)
@@ -98,7 +95,7 @@ class TestEnumeratePlacements:
         cfg = make_box_config(7, 3)  # capacities (3, 3, 1)
         for rp in enumerate_placements(rs, cfg):
             for box in range(1, cfg.b + 1):
-                assert rp.boxes.count(box) <= cfg.capacities[box - 1]
+                assert rp.count(box) <= cfg.capacities[box - 1]
 
 
 class TestBuildIntervals:
@@ -106,37 +103,31 @@ class TestBuildIntervals:
         g = subdivided_star()
         rs = RootSet(roots=(0,), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
-        table = build_intervals(
-            g, rs, RootPlacement(roots=(0,), boxes=(3,)), cfg, root_balls(g, rs)
-        )
-        assert table.intervals[2] == (1, 5)
+        intervals = build_intervals(g, rs, (3,), cfg, root_balls(g, rs))
+        assert intervals[2] == (1, 5)
 
     def test_two_roots_intersect(self):
         g = path_graph(7)
         rs = RootSet(roots=(0, 4), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
-        table = build_intervals(
-            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 5)), cfg, root_balls(g, rs)
-        )
-        assert table.intervals[2] == (3, 3)
+        intervals = build_intervals(g, rs, (1, 5), cfg, root_balls(g, rs))
+        assert intervals[2] == (3, 3)
 
     def test_disjoint_windows_empty(self):
         g = path_graph(7)
         rs = RootSet(roots=(0, 4), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
-        table = build_intervals(
-            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 7)), cfg, root_balls(g, rs)
-        )
-        assert table.intervals[2] is None
+        intervals = build_intervals(g, rs, (1, 7), cfg, root_balls(g, rs))
+        assert intervals[2] is None
 
     def test_roots_pinned_to_their_box(self):
         g = gen_dense_random(20, 0.4, 3)
         rs = sample_certified(g, 3, seed=1)
         cfg = make_box_config(20, 5)
         rp = next(iter(enumerate_placements(rs, cfg)))
-        table = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
-        for root, box in zip(rp.roots, rp.boxes):
-            assert table.intervals[root] == (box, box)
+        intervals = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
+        for root, box in zip(rs.roots, rp):
+            assert intervals[root] == (box, box)
 
     def test_unconstrained_vertex_raises(self):
         # vertex 3 is three hops from the only root: certified by mistake
@@ -144,9 +135,7 @@ class TestBuildIntervals:
         rs = RootSet(roots=(0,), hop_radius=2, certified=True)
         cfg = make_box_config(5, 1)
         with pytest.raises(AssertionError, match="vertex 3 unconstrained"):
-            build_intervals(
-                g, rs, RootPlacement(roots=(0,), boxes=(1,)), cfg, root_balls(g, rs)
-            )
+            build_intervals(g, rs, (1,), cfg, root_balls(g, rs))
 
     @pytest.mark.parametrize("hop_radius,use_3hop", [(2, True), (2, False), (1, False)])
     def test_matches_reference_derivation(self, hop_radius, use_3hop):
@@ -160,17 +149,15 @@ class TestBuildIntervals:
             for boxsize in (2, 3, 5):
                 cfg = make_box_config(g.n, boxsize)
                 for rp in enumerate_placements(rs, cfg):
-                    table = build_intervals(g, rs, rp, cfg, balls, use_3hop=use_3hop)
-                    assert table.intervals == reference_intervals(g, rs, rp, cfg, dists, use_3hop)
+                    intervals = build_intervals(g, rs, rp, cfg, balls, use_3hop=use_3hop)
+                    assert intervals == reference_intervals(g, rs, rp, cfg, dists, use_3hop)
 
     def test_uncertified_rejected(self):
         g = path_graph(5)
         rs = RootSet(roots=(0,), hop_radius=2, certified=False)
         cfg = make_box_config(5, 1)
         with pytest.raises(ValueError, match="certified"):
-            build_intervals(
-                g, rs, RootPlacement(roots=(0,), boxes=(1,)), cfg, root_balls(g, rs)
-            )
+            build_intervals(g, rs, (1,), cfg, root_balls(g, rs))
 
     def test_width_at_most_five_boxes(self):
         for seed in range(10):
@@ -181,8 +168,7 @@ class TestBuildIntervals:
             for i, rp in enumerate(enumerate_placements(rs, cfg)):
                 if i >= 40:
                     break
-                table = build_intervals(g, rs, rp, cfg, balls)
-                for iv in table.intervals:
+                for iv in build_intervals(g, rs, rp, cfg, balls):
                     if iv is not None:
                         assert iv[1] - iv[0] <= 4
 
@@ -193,12 +179,12 @@ class TestBuildIntervals:
         rs = RootSet(roots=(1, 5), hop_radius=2, certified=True)
         cfg = make_box_config(8, 1)
         balls = root_balls(g, rs)
-        rp = RootPlacement(roots=(1, 5), boxes=(1, 8))
+        rp = (1, 8)
         tightened = build_intervals(g, rs, rp, cfg, balls, use_3hop=True)
         loose = build_intervals(g, rs, rp, cfg, balls, use_3hop=False)
         # d(4,1)=3: tightened intersects [8-2,8+2] with [1-3,1+3]
-        assert tightened.intervals[4] is None
-        assert loose.intervals[4] == (6, 8)
+        assert tightened[4] is None
+        assert loose[4] == (6, 8)
 
     def test_optimal_layout_placement_is_consistent(self):
         # bin the roots of an exactly-solved instance by their optimal
@@ -209,13 +195,9 @@ class TestBuildIntervals:
             boxsize = max(value, 1)
             cfg = make_box_config(g.n, boxsize)
             rs = sample_certified(g, 3, seed=seed)
-            rp = RootPlacement(
-                roots=rs.roots,
-                boxes=tuple(cfg.box_of(witness.pos[r]) for r in rs.roots),
-            )
-            table = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
-            for v in range(g.n):
-                iv = table.intervals[v]
+            rp = tuple(cfg.box_of(witness.pos[r]) for r in rs.roots)
+            intervals = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
+            for v, iv in enumerate(intervals):
                 assert iv is not None
                 assert iv[0] <= cfg.box_of(witness.pos[v]) <= iv[1]
 
@@ -231,30 +213,27 @@ class TestUpdateIntervals:
     def test_identity_update(self):
         g, rs, cfg, _ = self._setup(0)
         rp = next(iter(enumerate_placements(rs, cfg)))
-        table = build_intervals(g, rs, rp, cfg, root_balls(g, rs))
-        assert update_intervals(table, rp, rp) == table
+        balls = root_balls(g, rs)
+        windows = root_windows(rs, balls, g.n)
+        assert update_intervals(rs, windows, cfg, rp) == build_intervals(g, rs, rp, cfg, balls)
 
     def test_shift_by_one_box(self):
         g = subdivided_star()
         rs = RootSet(roots=(0,), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
-        old = RootPlacement(roots=(0,), boxes=(3,))
-        new = RootPlacement(roots=(0,), boxes=(4,))
-        table = build_intervals(g, rs, old, cfg, root_balls(g, rs))
-        shifted = update_intervals(table, old, new)
-        assert table.intervals[2] == (1, 5)
-        assert shifted.intervals[2] == (2, 6)
+        balls = root_balls(g, rs)
+        windows = root_windows(rs, balls, g.n)
+        assert build_intervals(g, rs, (3,), cfg, balls)[2] == (1, 5)
+        assert update_intervals(rs, windows, cfg, (4,))[2] == (2, 6)
 
     def _random_updates(self, g, rs, cfg, dists, seed):
         rng = random.Random(seed)
         placements = list(enumerate_placements(rs, cfg))
-        current = placements[0]
-        table = build_intervals(g, rs, current, cfg, root_balls(g, rs))
+        windows = root_windows(rs, root_balls(g, rs), g.n)
         for _ in range(25):
             target = rng.choice(placements)
-            table = update_intervals(table, current, target)
-            assert table.intervals == reference_intervals(g, rs, target, cfg, dists)
-            current = target
+            intervals = update_intervals(rs, windows, cfg, target)
+            assert intervals == reference_intervals(g, rs, target, cfg, dists)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_update_equals_fresh_build(self, seed):
@@ -274,23 +253,23 @@ class TestUpdateIntervals:
         g, rs, cfg, dists = self._setup(3, n=12, boxsize=4)
         placements = list(enumerate_placements(rs, cfg))
         assert len(placements) <= cfg.b ** len(rs.roots)
-        table = build_intervals(g, rs, placements[0], cfg, root_balls(g, rs))
-        current = placements[0]
+        windows = root_windows(rs, root_balls(g, rs), g.n)
         for rp in placements:
-            table = update_intervals(table, current, rp)
-            current = rp
-            assert table.intervals == reference_intervals(g, rs, rp, cfg, dists)
+            assert update_intervals(rs, windows, cfg, rp) == reference_intervals(g, rs, rp, cfg, dists)
 
     def test_mismatch_errors(self):
         g, rs, cfg, _ = self._setup(1)
-        placements = list(enumerate_placements(rs, cfg))
-        table = build_intervals(g, rs, placements[0], cfg, root_balls(g, rs))
-        with pytest.raises(ValueError, match="different placement"):
-            update_intervals(table, placements[1], placements[2])
-        stranger = RootPlacement(roots=(0, 1, 2), boxes=placements[0].boxes)
-        if stranger.roots != rs.roots:
+        balls = root_balls(g, rs)
+        windows = root_windows(rs, balls, g.n)
+        placement = next(iter(enumerate_placements(rs, cfg)))
+        for wrong in (placement[:-1], placement + (1,)):
             with pytest.raises(ValueError, match="mismatch"):
-                update_intervals(table, placements[0], stranger)
+                update_intervals(rs, windows, cfg, wrong)
+            with pytest.raises(ValueError, match="mismatch"):
+                build_intervals(g, rs, wrong, cfg, balls)
+        uncertified = RootSet(roots=rs.roots, hop_radius=2)
+        with pytest.raises(ValueError, match="certified"):
+            update_intervals(uncertified, windows, cfg, placement)
 
 
 def every_vertex_a_root(g, hop_radius=2):
@@ -442,8 +421,9 @@ class TestVertexClasses:
             expected = [(1, cfg.b)] * g.n
             if d:
                 placed = RootSet(roots=rs.roots[:d], hop_radius=rs.hop_radius, certified=True)
-                rp = RootPlacement(roots=placed.roots, boxes=tuple(prefix.boxes[:d]))
-                expected = list(reference_intervals(g, placed, rp, cfg, dists, use_3hop))
+                expected = list(
+                    reference_intervals(g, placed, prefix.boxes[:d], cfg, dists, use_3hop)
+                )
             for root in rs.roots[d:]:
                 expected[root] = (1, cfg.b)
             got = prefix.intervals(rs.roots)

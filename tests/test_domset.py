@@ -12,7 +12,6 @@ from bandapprox.domset import (
     k_size,
     kprime_size,
     sample_certified,
-    sample_rootset,
 )
 from bandapprox.graph import bfs_from_set, gen_dense_random
 from helpers import (
@@ -21,6 +20,7 @@ from helpers import (
     er_graph,
     floyd_warshall_from_set,
     path_graph,
+    sample_rootset,
     star_graph,
 )
 

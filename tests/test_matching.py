@@ -3,7 +3,6 @@ import random
 import pytest
 
 from bandapprox.boxes import (
-    RootPlacement,
     build_intervals,
     enumerate_placements,
     make_box_config,
@@ -26,7 +25,7 @@ from bandapprox.oracle import exact_bandwidth, layout_bandwidth
 from helpers import box_gap_violations, brute_force_matching_size, complete_graph
 
 
-def pinned_table(g, seed, boxsize, nroots=3):
+def pinned_intervals(g, seed, boxsize, nroots=3):
     rs = sample_certified(g, nroots, seed=seed)
     cfg = make_box_config(g.n, boxsize)
     balls = root_balls(g, rs)
@@ -37,37 +36,29 @@ def pinned_table(g, seed, boxsize, nroots=3):
 class TestBuildAuxiliary:
     def test_single_box_is_complete_bipartite(self):
         g = gen_dense_random(4, 0.5, 0)
-        table, cfg = pinned_table(g, seed=0, boxsize=4, nroots=1)
-        aux = build_auxiliary(table, cfg)
+        intervals, cfg = pinned_intervals(g, seed=0, boxsize=4, nroots=1)
+        aux = build_auxiliary(intervals, cfg)
         assert all(aux.adj[v] == (1, 2, 3, 4) for v in range(4))
 
     def test_empty_interval_isolates_vertex(self):
         g = make_graph(7, [(i, i + 1) for i in range(6)])
         rs = RootSet(roots=(0, 4), hop_radius=2, certified=True)
         cfg = make_box_config(7, 1)
-        table = build_intervals(
-            g, rs, RootPlacement(roots=(0, 4), boxes=(1, 7)), cfg, root_balls(g, rs)
-        )
-        aux = build_auxiliary(table, cfg)
+        aux = build_auxiliary(build_intervals(g, rs, (1, 7), cfg, root_balls(g, rs)), cfg)
         assert aux.adj[2] == ()
         assert not max_matching(aux).is_perfect(7)
 
     def test_degree_counts_positions_of_interval(self):
-        from helpers import synthetic_table
-
         cfg = make_box_config(6, 2)
-        table = synthetic_table(
-            [(1, 2), (1, 2), (1, 1), (2, 3), (3, 3), (2, 2)], cfg
-        )
-        aux = build_auxiliary(table, cfg)
+        aux = build_auxiliary(((1, 2), (1, 2), (1, 1), (2, 3), (3, 3), (2, 2)), cfg)
         assert aux.adj[0] == (1, 2, 3, 4)  # 2 boxes x 2 positions
         assert aux.adj[1] == (1, 2, 3, 4)
 
     def test_degree_bounded_by_window(self):
         for seed in range(5):
             g = gen_dense_random(20, 0.35, seed)
-            table, cfg = pinned_table(g, seed=seed, boxsize=3)
-            aux = build_auxiliary(table, cfg)
+            intervals, cfg = pinned_intervals(g, seed=seed, boxsize=3)
+            aux = build_auxiliary(intervals, cfg)
             for row in aux.adj:
                 assert len(row) <= 5 * cfg.boxsize
 
@@ -91,8 +82,6 @@ class TestMaxMatching:
         assert max_matching(AuxGraph(n=n, adj=adj)).size == brute_force_matching_size(adj)
 
     def test_interval_shaped_instances_match_brute_force(self):
-        from helpers import synthetic_table
-
         rng = random.Random(7)
         for _ in range(10):
             n = rng.randrange(6, 13)
@@ -106,7 +95,7 @@ class TestMaxMatching:
                     lo = rng.randrange(1, cfg.b + 1)
                     hi = min(cfg.b, lo + rng.randrange(0, 5))
                     intervals.append((lo, hi))
-            aux = build_auxiliary(synthetic_table(intervals, cfg), cfg)
+            aux = build_auxiliary(tuple(intervals), cfg)
             assert max_matching(aux).size == brute_force_matching_size(aux.adj)
 
     def test_pairs_respect_adjacency(self):
@@ -170,12 +159,9 @@ class TestPipeline:
             layout, boxsize, stats = approx_bandwidth_alg1(g, seed=seed, record_trace=True)
             rs = sample_certified(g, stats.root_count, seed=seed)
             cfg = make_box_config(g.n, boxsize)
-            balls = root_balls(g, rs)
             winning = stats.trace[-1]
             assert winning[2] is True
-            rp = RootPlacement(roots=rs.roots, boxes=winning[1])
-            table = build_intervals(g, rs, rp, cfg, balls)
-            assert box_gap_violations(g, layout, table, cfg) == []
+            assert box_gap_violations(g, layout, rs, winning[1], cfg) == []
 
     def test_perfect_matching_exists_at_optimal_configuration(self):
         for seed in range(6):
@@ -184,12 +170,8 @@ class TestPipeline:
             cfg = make_box_config(g.n, max(value, 1))
             rs = sample_certified(g, 3, seed=seed)
             balls = root_balls(g, rs)
-            rp = RootPlacement(
-                roots=rs.roots,
-                boxes=tuple(cfg.box_of(witness.pos[r]) for r in rs.roots),
-            )
-            table = build_intervals(g, rs, rp, cfg, balls)
-            aux = build_auxiliary(table, cfg)
+            rp = tuple(cfg.box_of(witness.pos[r]) for r in rs.roots)
+            aux = build_auxiliary(build_intervals(g, rs, rp, cfg, balls), cfg)
             assert max_matching(aux).is_perfect(g.n)
 
     def test_deterministic(self):

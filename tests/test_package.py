@@ -1,11 +1,13 @@
 """The package root's user API, the shared ``max_tries`` default, and the
-benchmark tracer's bindings into the library's modules."""
+benchmark tracer's bindings into the library's modules and its callbacks on
+what they return."""
 
 from __future__ import annotations
 
 import importlib.util
 import inspect
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -85,3 +87,30 @@ class TestTracerBindings:
         for module, attr, original in patched:
             assert getattr(module, attr) is original, f"{module.__name__}.{attr}"
         assert [dict(vars(m)) for m in modules] == before
+
+    def test_callbacks_read_what_the_pipelines_return(self):
+        # the callbacks read the back ends' return values, so a changed
+        # return type fails here, not only in a traced benchmark run
+        tracer = self.load_tracer()
+        g = graph.gen_dense_random(12, 0.5, 0)
+        tracer.install()
+        try:
+            for run in (matching.approx_bandwidth_alg1, flow.approx_bandwidth_alg2,
+                        matching.approx_bandwidth_baseline):
+                token = tracer.begin_call(run.__name__)
+                t0 = perf_counter()
+                run(g, seed=0)
+                tracer.end_call(token, t0)
+        finally:
+            tracer.uninstall()
+        spans = {tracer.names[int(row[2])] for row in tracer.table()}
+        assert {
+            "flow.count_intervals", "flow.build_instance", "flow.max_flow", "flow.to_layout",
+            "matching.build_aux", "matching.max_matching", "matching.normalize",
+            "matching.to_layout",
+        } <= spans
+        counts, nodes_max = tracer.call_counts([1, 2, 3])
+        assert nodes_max > 0 and counts["flow.nodes"] == nodes_max
+        assert counts["matching.aux_edges"] > 0
+        assert counts["matching.perfect"] == 2
+        assert counts["domset.roots"] > 0

@@ -30,7 +30,6 @@ from bandapprox.boxes import (
 )
 from bandapprox.domset import RootSet, sample_certified
 from bandapprox.flow import (
-    IntervalCounts,
     approx_bandwidth_alg2,
     build_flow_instance,
     count_intervals,
@@ -47,7 +46,7 @@ from bandapprox.matching import (
     normalize_matching,
 )
 from bandapprox.oracle import degree_lower_bound
-from helpers import planted_band, reference_intervals, synthetic_table, three_hop_listings
+from helpers import planted_band, reference_intervals, three_hop_listings
 
 # (name, pipeline, keyword arguments, back end, three-hop tightening)
 VARIANTS = (
@@ -84,7 +83,7 @@ class TestHallViolation:
         counts: dict = {}
         for iv in intervals:
             counts[iv] = counts.get(iv, 0) + 1
-        saturated = max_flow(build_flow_instance(IntervalCounts(counts), cfg)).value == len(intervals)
+        saturated = max_flow(build_flow_instance(counts, cfg)).value == len(intervals)
         cum = list(accumulate(capacities, initial=0))
         found = hall_violation(histogram(intervals, b), cum)
         assert (found is None) == saturated
@@ -100,8 +99,8 @@ class TestHallViolation:
         assert hall_violation(count, [0, 1, 2, 4]) is None
 
 
-def matching_feasible(table, cfg):
-    return max_matching(build_auxiliary(table, cfg)).is_perfect(cfg.n)
+def matching_feasible(intervals, cfg):
+    return max_matching(build_auxiliary(intervals, cfg)).is_perfect(cfg.n)
 
 
 def brute_force_cases():
@@ -148,12 +147,9 @@ class TestPlacementPrefix:
             for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
                 cfg = make_box_config(g.n, boxsize)
                 feasible = {
-                    rp.boxes: matching_feasible(
-                        synthetic_table(reference_intervals(g, rs, rp, cfg, dists, use_3hop), cfg),
-                        cfg,
-                    )
+                    rp: matching_feasible(reference_intervals(g, rs, rp, cfg, dists, use_3hop), cfg)
                     for rp in enumerate_placements(rs, cfg)
-                    if twin_ordered(rp.boxes, twins)
+                    if twin_ordered(rp, twins)
                 }
                 prefix = PlacementPrefix(cfg, windows)
                 fresh = (prefix.lo[:], prefix.hi[:], [row[:] for row in prefix.count])
@@ -190,17 +186,17 @@ class TestPlacementPrefix:
         assert prefixes > cut > looked_ahead > 0 and three_hop > 0
 
 
-def reference_layout(table, cfg, backend):
+def reference_layout(intervals, cfg, backend):
     """The per-placement verdict and layout of the exhaustive scan."""
     if backend == "matching":
-        m = max_matching(build_auxiliary(table, cfg))
+        m = max_matching(build_auxiliary(intervals, cfg))
         return matching_to_layout(normalize_matching(m, cfg), cfg) if m.is_perfect(cfg.n) else None
-    counts = count_intervals(table)
+    counts = count_intervals(intervals)
     if counts is None:
         return None
     inst = build_flow_instance(counts, cfg)
     res = max_flow(inst)
-    return flow_to_layout(res, inst, table, cfg) if res.value == cfg.n else None
+    return flow_to_layout(res, inst, intervals, cfg) if res.value == cfg.n else None
 
 
 def exhaustive_winner(g, rs, backend, use_3hop):
@@ -209,10 +205,10 @@ def exhaustive_winner(g, rs, backend, use_3hop):
     for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
         cfg = make_box_config(g.n, boxsize)
         for rp in enumerate_placements(rs, cfg):
-            table = synthetic_table(reference_intervals(g, rs, rp, cfg, dists, use_3hop), cfg)
-            layout = reference_layout(table, cfg, backend)
+            intervals = reference_intervals(g, rs, rp, cfg, dists, use_3hop)
+            layout = reference_layout(intervals, cfg, backend)
             if layout is not None:
-                return boxsize, rp.boxes, layout
+                return boxsize, rp, layout
     return None
 
 
@@ -324,9 +320,8 @@ class TestTwinFloors:
                 ok = hall_verdict(reference_intervals(g, rs, rp, cfg, dists), cfg)
                 verdicts[ok] += 1
                 for d, e in pairs:
-                    boxes = list(rp.boxes)
-                    boxes[d], boxes[e] = boxes[e], boxes[d]
-                    swapped = replace(rp, boxes=tuple(boxes))
+                    swapped = list(rp)
+                    swapped[d], swapped[e] = swapped[e], swapped[d]
                     assert hall_verdict(reference_intervals(g, rs, swapped, cfg, dists), cfg) == ok
         assert verdicts[True] and verdicts[False]
 
