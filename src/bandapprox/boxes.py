@@ -25,9 +25,10 @@ links, and :meth:`PlacementPrefix.place` intersects the windows.  Non-root
 vertices that every root holds in the same window, or in none, always get
 the same interval, so the record groups them into classes and the windows
 list one representative per class; the prefix weighs each class by its
-size in the Hall histogram and expands it back to vertices only when it
-reads off the intervals.  On a diameter-2 graph every non-root lies in
-every root's ball, so there is one class.  The search in
+size in the Hall histogram, which counts its placed roots but not the
+unplaced ones, and expands each class back to vertices only when it reads
+off the intervals.  On a diameter-2 graph every non-root lies in every
+root's ball, so there is one class.  The search in
 :mod:`bandapprox.search` walks placements with a :class:`PlacementPrefix`
 and reads the winner's intervals off it; :func:`update_intervals` places a
 whole placement into a fresh one, and :func:`build_intervals` does so
@@ -265,11 +266,14 @@ class PlacementPrefix:
     root windows: the search walks placements with it and
     :func:`build_intervals` places whole placements with it.  ``count`` is
     the histogram the Hall test reads, in vertices: each class weighs its
-    size, each placed root is pinned to ``(k, k)``, each unplaced one
-    counted as ``(1, b)`` and empty intervals left out (``empty`` counts
-    their vertices).  Roots are placed in index order and retracted last
-    in, first out; each placement costs O(classes the root constrains), one
-    step for all non-roots on a diameter-2 graph.
+    size, each placed root is pinned to ``(k, k)``, and unplaced roots and
+    empty intervals are left out (``empty`` counts the latter's vertices).
+    An unplaced root would count as ``(1, b)``, which lies in no range but
+    ``(1, b)`` itself; that range holds all ``n`` positions and the
+    histogram never more than ``n`` vertices, so leaving the unplaced roots
+    out changes no verdict.  Roots are placed in index order and retracted
+    last in, first out; each placement costs O(classes the root
+    constrains), one step for all non-roots on a diameter-2 graph.
 
     :meth:`cut` assumes the completions are twin-ordered, each class of
     the record's ``twins`` taking non-decreasing boxes, and looks ahead
@@ -290,7 +294,6 @@ class PlacementPrefix:
                 self.rest[self.twins[d]] += self.rest[d]
         self.cum = list(accumulate(cfg.capacities, initial=0))
         self.boxes = [0] * k
-        self.placed = 0
         self.load = [0] * (b + 1)
         self.lo = [1] * n
         self.hi = [b] * n
@@ -298,7 +301,7 @@ class PlacementPrefix:
         for members in self.classes:
             self.weight[members[0]] = len(members)
         self.count = [[0] * (b + 1) for _ in range(b + 1)]
-        self.count[1][b] = n
+        self.count[1][b] = n - k
         self.empty = 0
         self._undo: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
 
@@ -346,46 +349,40 @@ class PlacementPrefix:
 
     def place(self, d: int, box: int) -> None:
         self._narrow(d, box, self._undo[d])
-        self.count[1][self.cfg.b] -= 1
         self.count[box][box] += 1
         self.load[box] += 1
         self.boxes[d] = box
-        self.placed += 1
 
     def retract(self, d: int) -> None:
         self._restore(self._undo[d])
         box = self.boxes[d]
         self.count[box][box] -= 1
-        self.count[1][self.cfg.b] += 1
         self.load[box] -= 1
         self.boxes[d] = 0
-        self.placed -= 1
 
-    def cut(self) -> str | None:
-        """Why no twin-ordered completion of this prefix is feasible
-        (``"empty"`` or ``"hall"``), or ``None`` if it may have one.  Exact
-        once every root is placed.
+    def cut(self, e: int) -> str | None:
+        """Why no twin-ordered completion of this prefix, whose roots
+        ``0..e-1`` are placed, is feasible (``"empty"`` or ``"hall"``), or
+        ``None`` if it may have one.  Exact once every root is placed.
 
         When the next root ``e`` has a placed twin at box ``f``, the ``r``
         members of its twin class from ``e`` on all take boxes in
         ``f..y``, where ``y`` is the box of the class's last member.  For
         each ``y`` in ``f..b`` the look-ahead counts those ``r`` roots as
-        ``(f, y)`` instead of ``(1, b)``, narrows the classes they constrain
-        to their windows around ``y`` and runs the Hall test; the prefix is
-        cut (``"hall"``) when no ``y`` passes.  Every interval stays a
-        superset of its value in any completion with that ``y``, so only
-        prefixes without a feasible twin-ordered completion are cut.
+        ``(f, y)``, narrows the classes they constrain to their windows
+        around ``y`` and runs the Hall test; the prefix is cut (``"hall"``)
+        when no ``y`` passes.  Every interval stays a superset of its value
+        in any completion with that ``y``, so only prefixes without a
+        feasible twin-ordered completion are cut.
         """
         if self.empty:
             return "empty"
-        e = self.placed
         if e == len(self.boxes) or self.twins[e] < 0:
             return "hall" if hall_violation(self.count, self.cum) is not None else None
         f = self.boxes[self.twins[e]]
         r = self.rest[e]
         b = self.cfg.b
         count, trial = self.count, []
-        count[1][b] -= r
         passed = False
         for y in range(f, b + 1):
             count[f][y] += r
@@ -395,15 +392,15 @@ class PlacementPrefix:
             count[f][y] -= r
             if passed:
                 break
-        count[1][b] += r
         return None if passed else "hall"
 
     def intervals(self, roots: Sequence[int]) -> Intervals:
-        """Every vertex's interval, as ``count`` weighs it: each class's
-        members take their representative's, ``None`` if empty, and root
-        ``roots[d]`` is pinned to ``boxes[d]``, or spans ``(1, b)`` while
-        unplaced.  Under a complete placement these are the placement's
-        intervals, as :func:`update_intervals` gives them."""
+        """Every vertex's interval: each class's members take their
+        representative's, ``None`` if empty, and root ``roots[d]`` is
+        pinned to ``boxes[d]``, or spans ``(1, b)`` while unplaced.
+        ``count`` weighs all of them but the unplaced roots.  Under a
+        complete placement these are the placement's intervals, as
+        :func:`update_intervals` gives them."""
         out: list[tuple[int, int] | None] = [None] * self.cfg.n
         lo, hi = self.lo, self.hi
         for members in self.classes:

@@ -11,15 +11,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Union
 
 from .graph import Graph, hop_balls
 # Not called here; bound because perfbench/tracer.py wraps this name in this
 # module.
 from .graph import bfs_from_set  # noqa: F401
 from .util import ceil_snapped
-
-DeltaSpec = Union[float, Callable[[int], float]]
 
 DEFAULT_MAX_TRIES = 50
 
@@ -46,26 +43,19 @@ class CertificationError(RuntimeError):
 class SamplingParams:
     """Failure budget ``alpha``, slack constant ``c``, and density ``delta``.
 
-    ``delta`` may be a constant, a function of the vertex count (the sizes
-    stay small even for densities shrinking like (log log n)^2 / log n), or
-    ``None`` meaning "measure it from the input graph".
+    ``delta`` is a constant, or ``None`` meaning "measure it from the input
+    graph".
     """
 
     alpha: float = 0.5
     c: float = 1.0
-    delta: DeltaSpec | None = None
+    delta: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.alpha < 1.0:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.c < 1.0:
             raise ValueError("c must be at least 1")
-
-    def delta_at(self, n: int) -> float:
-        if self.delta is None:
-            raise ValueError("delta is unset; measure it from the graph or set it")
-        d = self.delta(n) if callable(self.delta) else self.delta
-        return float(d)
 
 
 @dataclass(frozen=True)
@@ -93,7 +83,9 @@ class RootSet:
             raise ValueError(f"roots must be strictly ascending and nonnegative, got {self.roots}")
 
 
-def _size_from_logs(numerator: float, delta: float) -> int:
+def _size_from_logs(numerator: float, delta: float | None) -> int:
+    if delta is None:
+        raise ValueError("delta is unset; measure it from the graph or set it")
     if not 0.0 < delta < 1.0:
         raise ValueError("delta must lie strictly between 0 and 1")
     value = math.log(numerator) / math.log(1.0 / (1.0 - delta))
@@ -108,7 +100,7 @@ def k_size(n: int, params: SamplingParams) -> int:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _size_from_logs(n / params.alpha, params.delta_at(n))
+    return _size_from_logs(n / params.alpha, params.delta)
 
 
 def kprime_size(n: int, params: SamplingParams) -> int:
@@ -118,7 +110,7 @@ def kprime_size(n: int, params: SamplingParams) -> int:
     this is the O(log log n)-scale set that drives both pipelines.
     """
     k = k_size(n, params)
-    return _size_from_logs(k * params.c / params.alpha, params.delta_at(n))
+    return _size_from_logs(k * params.c / params.alpha, params.delta)
 
 
 def is_dominating(g: Graph, rs: RootSet) -> bool:

@@ -244,5 +244,4 @@ def approx_bandwidth_alg2(
         use_3hop=use_3hop,
         max_tries=max_tries,
         record_trace=record_trace,
-        label="alg2",
     )

@@ -189,7 +189,6 @@ def approx_bandwidth_alg1(
         use_3hop=use_3hop,
         max_tries=max_tries,
         record_trace=record_trace,
-        label="alg1",
     )
 
 
@@ -214,5 +213,4 @@ def approx_bandwidth_baseline(
         use_3hop=False,
         max_tries=max_tries,
         record_trace=record_trace,
-        label="baseline",
     )

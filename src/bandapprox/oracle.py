@@ -101,8 +101,9 @@ def _layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None
         # Hall-type demand check: pending neighbors of a placed vertex w
         # must all sit in positions p..pos[w]+k, so for every deadline d
         # the union of demands with deadline <= d cannot exceed the open
-        # slots p..d.  A union that exactly fills its slots claims them,
-        # forcing the current position to one of its members.
+        # slots p..d; a single w whose pending neighbors outnumber its open
+        # slots fails here too.  A union that exactly fills its slots claims
+        # them, forcing the current position to one of its members.
         deadlines = sorted(
             (pos[w] + k, w) for w in range(n) if pos[w] and pending[w]
         )
@@ -140,14 +141,7 @@ def _layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None
             pos[v] = p
             for u in adj[v]:
                 pending[u] -= 1
-            # every placed vertex w must fit its pending neighbors into the
-            # pos[w]+k window, which holds only pos[w]+k-p open slots
-            good = True
-            for w in range(n):
-                if pos[w] and pending[w] and pending[w] > pos[w] + k - p:
-                    good = False
-                    break
-            if good and dfs(p + 1):
+            if dfs(p + 1):
                 return True
             pos[v] = 0
             for u in adj[v]:

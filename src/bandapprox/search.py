@@ -102,7 +102,6 @@ def run_search(
     use_3hop: bool,
     max_tries: int = DEFAULT_MAX_TRIES,
     record_trace: bool = False,
-    label: str = "",
 ) -> tuple[Layout, int, SearchStats]:
     if backend not in ("matching", "flow"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -111,7 +110,7 @@ def run_search(
     if params is None:
         params = SamplingParams()
     n = g.n
-    delta = params.delta_at(n) if params.delta is not None else float(density(g))
+    delta = float(params.delta if params.delta is not None else density(g))
     if delta <= 0.0:
         raise ValueError("graph has an isolated vertex (density 0); dense input required")
 
@@ -120,7 +119,7 @@ def run_search(
     size = min(size, n)
 
     stats = SearchStats(
-        algorithm=label or backend,
+        algorithm="baseline" if hop_radius == 1 else "alg1" if backend == "matching" else "alg2",
         seed=seed,
         n=n,
         delta=delta,
@@ -203,7 +202,7 @@ def _first_feasible_placement(prefix: PlacementPrefix, stats: SearchStats):
             continue
         prefix.place(d, box)
         stats.nodes_visited += 1
-        cut = prefix.cut()
+        cut = prefix.cut(d + 1)
         if cut == "empty":
             stats.pruned_empty += 1
         elif cut == "hall":

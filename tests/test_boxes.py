@@ -8,6 +8,7 @@ from bandapprox.boxes import (
     PlacementPrefix,
     build_intervals,
     enumerate_placements,
+    hall_violation,
     make_box_config,
     root_balls,
     root_distances,
@@ -407,7 +408,8 @@ class TestVertexClasses:
     @pytest.mark.parametrize("case", range(len(CLASS_CASES)))
     def test_every_prefix_node_matches_the_reference(self, case):
         # every vertex's interval and the Hall histogram, at every node of
-        # the full placement tree of one box size
+        # the full placement tree of one box size; the histogram leaves the
+        # unplaced roots out, which changes no Hall verdict
         g, rs, use_3hop = CLASS_CASES[case]
         dists = root_distances(g, rs)
         windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
@@ -415,7 +417,7 @@ class TestVertexClasses:
         prefix = PlacementPrefix(cfg, windows)
         assert sum(prefix.weight) == g.n - len(rs.roots)
         k = len(rs.roots)
-        nodes = 0
+        nodes = violations = 0
 
         def check(d):
             expected = [(1, cfg.b)] * g.n
@@ -432,11 +434,15 @@ class TestVertexClasses:
             for iv in got:
                 if iv is not None:
                     count[iv[0]][iv[1]] += 1
+            verdict = hall_violation(count, prefix.cum)
+            count[1][cfg.b] -= k - d
             assert prefix.count == count and prefix.empty == got.count(None)
+            assert hall_violation(prefix.count, prefix.cum) == verdict
+            return verdict is not None
 
         def visit(d):
-            nonlocal nodes
-            check(d)
+            nonlocal nodes, violations
+            violations += check(d)
             nodes += 1
             if d == k:
                 return
@@ -448,5 +454,5 @@ class TestVertexClasses:
 
         visit(0)
         check(0)
-        assert nodes > cfg.b ** (k - 1)
+        assert nodes > cfg.b ** (k - 1) and violations > 0
 

@@ -108,10 +108,9 @@ class TestSizes:
         def shrinking(n):
             return (math.log(math.log(n))) ** 2 / math.log(n)
 
-        params = SamplingParams(alpha=0.5, c=1.0, delta=shrinking)
         for e in range(4, 16):
             n = 10**e
-            kp = kprime_size(n, params)
+            kp = kprime_size(n, SamplingParams(alpha=0.5, c=1.0, delta=shrinking(n)))
             assert kp <= 4.0 * math.log(math.log(n))
 
 

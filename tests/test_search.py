@@ -28,7 +28,7 @@ from bandapprox.boxes import (
     root_twins,
     root_windows,
 )
-from bandapprox.domset import RootSet, sample_certified
+from bandapprox.domset import CertificationError, RootSet, sample_certified
 from bandapprox.flow import (
     approx_bandwidth_alg2,
     build_flow_instance,
@@ -45,8 +45,16 @@ from bandapprox.matching import (
     max_matching,
     normalize_matching,
 )
-from bandapprox.oracle import degree_lower_bound
-from helpers import planted_band, reference_intervals, three_hop_listings
+from bandapprox.oracle import degree_lower_bound, exact_bandwidth
+from bandapprox.search import SearchStats, _first_feasible_placement
+from helpers import (
+    cycle_graph,
+    er_graph,
+    path_graph,
+    planted_band,
+    reference_intervals,
+    three_hop_listings,
+)
 
 # (name, pipeline, keyword arguments, back end, three-hop tightening)
 VARIANTS = (
@@ -162,7 +170,7 @@ class TestPlacementPrefix:
                             continue
                         prefix.place(d, box)
                         placed = tuple(prefix.boxes[: d + 1])
-                        reason = prefix.cut()
+                        reason = prefix.cut(d + 1)
                         completable = any(
                             ok for boxes, ok in feasible.items() if boxes[: d + 1] == placed
                         )
@@ -270,30 +278,16 @@ def twin_classes(twins):
 
 def floor_free_winner(g, rs, use_3hop=True):
     """First feasible (box size, boxes) of the walk without twin floors:
-    every root tries every box from 1 up, and the cut looks ahead over no
-    twins."""
+    the walk run on windows that link no twins, so every root tries every
+    box from 1 up and the cut looks ahead over no twins."""
     windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
     windows = replace(windows, twins=(-1,) * len(rs.roots))
+    stats = SearchStats("", 0, g.n, 0.0, 0.5, 1.0, rs.hop_radius, use_3hop)  # counters only
     for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
         prefix = PlacementPrefix(make_box_config(g.n, boxsize), windows)
-        boxes, k, b = prefix.boxes, len(prefix.boxes), prefix.cfg.b
-        d = 0
-        while d >= 0:
-            box = boxes[d]
-            if box:
-                prefix.retract(d)
-            box += 1
-            while box <= b and not prefix.has_room(box):
-                box += 1
-            if box > b:
-                d -= 1
-                continue
-            prefix.place(d, box)
-            cut = prefix.cut()
-            if d == k - 1 and cut is None:
-                return boxsize, tuple(boxes)
-            if d < k - 1 and cut is None:
-                d += 1
+        boxes = _first_feasible_placement(prefix, stats)
+        if boxes is not None:
+            return boxsize, boxes
     return None
 
 
@@ -351,3 +345,39 @@ class TestTwinFloors:
             assert stats.boxsizes_tried == len(sizes), label
             bound = sum(stats.root_count + make_box_config(n, size).b for size in sizes)
             assert stats.nodes_visited <= bound, (label, stats.nodes_visited, bound)
+
+
+@st.composite
+def oracle_sized_graphs(draw):
+    """Graphs with 3 <= n <= 12 and min degree >= 1: sparse ER graphs (each
+    isolated vertex joined to the next one), planted path powers, dense
+    random graphs, paths and cycles."""
+    n = draw(st.integers(3, 12))
+    seed = draw(st.integers(0, 10**6))
+    kind = draw(st.sampled_from(("sparse", "planted", "dense", "path", "cycle")))
+    if kind == "sparse":
+        g = er_graph(n, draw(st.floats(0.1, 0.4)), seed)
+        # edges are (min, max) pairs
+        joins = {tuple(sorted((v, (v + 1) % n))) for v in range(n) if not g.adj[v]}
+        return make_graph(n, set(g.edges) | joins)
+    if kind == "planted":
+        return planted_band(n, draw(st.integers(1, 3)), seed)
+    if kind == "dense":
+        return gen_dense_random(n, draw(st.floats(0.3, 0.7)), seed)
+    return path_graph(n) if kind == "path" else cycle_graph(n)
+
+
+class TestBoxSizeLowerBound:
+    @settings(max_examples=400, deadline=None)
+    @given(oracle_sized_graphs(), st.integers(0, 3))
+    def test_winning_box_size_is_at_most_the_bandwidth(self, g, seed):
+        # every claimed factor rests on this: the placement read off an
+        # optimal layout, at box size opt, passes every window, so the scan
+        # stops at or before it
+        opt, _ = exact_bandwidth(g)
+        for label, run, kwargs, _, _ in VARIANTS:
+            try:
+                _, boxsize, _ = run(g, seed=seed, **kwargs)
+            except CertificationError:
+                continue
+            assert boxsize <= opt, (label, boxsize, opt)
