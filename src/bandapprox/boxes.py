@@ -67,6 +67,26 @@ class BoxConfig:
         start = (box - 1) * self.boxsize + 1
         return range(start, min(box * self.boxsize, self.n) + 1)
 
+    def positions_for(self, boxes: Sequence[int]) -> tuple[int, ...]:
+        """Every vertex's position, given ``boxes[v]``, the box each vertex
+        ``v`` takes: each box hands out its positions in ascending vertex
+        id.  Both back ends choose only the boxes; this is the one rule
+        that turns them into a layout.  ``AssertionError`` unless every
+        box receives exactly its capacity."""
+        members: dict[int, list[int]] = {box: [] for box in range(1, self.b + 1)}
+        for v, box in enumerate(boxes):
+            members.setdefault(box, []).append(v)  # ids ascend within each box
+        pos = [0] * len(boxes)
+        for box, vs in members.items():
+            slots = self.positions(box) if 1 <= box <= self.b else range(0)
+            if len(vs) != len(slots):
+                raise AssertionError(
+                    f"box {box} received {len(vs)} vertices for {len(slots)} positions"
+                )
+            for v, p in zip(vs, slots):
+                pos[v] = p
+        return tuple(pos)
+
 
 def make_box_config(n: int, boxsize: int) -> BoxConfig:
     if not 1 <= boxsize <= n:
@@ -424,6 +444,9 @@ def update_intervals(
         raise ValueError("root set must be certified before building intervals")
     if len(boxes) != len(rs.roots):
         raise ValueError(f"root count mismatch: {len(boxes)} boxes for {len(rs.roots)} roots")
+    for box in boxes:
+        if not 1 <= box <= cfg.b:
+            raise ValueError(f"box {box} out of range 1..{cfg.b}")
     prefix = PlacementPrefix(cfg, windows)
     for d, box in enumerate(boxes):
         prefix.place(d, box)

@@ -43,8 +43,8 @@ class CertificationError(RuntimeError):
 class SamplingParams:
     """Failure budget ``alpha``, slack constant ``c``, and density ``delta``.
 
-    ``delta`` is a constant, or ``None`` meaning "measure it from the input
-    graph".
+    ``delta`` is a constant strictly between 0 and 1, or ``None`` meaning
+    "measure it from the input graph".
     """
 
     alpha: float = 0.5
@@ -56,6 +56,8 @@ class SamplingParams:
             raise ValueError("alpha must lie strictly between 0 and 1")
         if self.c < 1.0:
             raise ValueError("c must be at least 1")
+        if self.delta is not None and not 0.0 < self.delta < 1.0:
+            raise ValueError("delta must lie strictly between 0 and 1")
 
 
 @dataclass(frozen=True)
@@ -86,8 +88,6 @@ class RootSet:
 def _size_from_logs(numerator: float, delta: float | None) -> int:
     if delta is None:
         raise ValueError("delta is unset; measure it from the graph or set it")
-    if not 0.0 < delta < 1.0:
-        raise ValueError("delta must lie strictly between 0 and 1")
     value = math.log(numerator) / math.log(1.0 / (1.0 - delta))
     return max(1, ceil_snapped(value))
 

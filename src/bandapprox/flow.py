@@ -7,7 +7,9 @@ at most 5b distinct intervals, so the flow network (source -> interval
 nodes -> box nodes -> sink) has a size independent of n.  A saturating
 integral flow of value n exists iff the auxiliary bipartite graph has a
 perfect matching, and its arc values say how many vertices of each
-interval class go to each box.
+interval class go to each box.  That choice of boxes is all this back end
+makes: :meth:`~bandapprox.boxes.BoxConfig.positions_for` places the
+vertices inside their boxes.
 """
 
 from __future__ import annotations
@@ -179,8 +181,9 @@ def flow_to_layout(
     ``intervals``, into a layout.
 
     For each interval-to-box arc carrying e units, the e lowest-id not yet
-    placed vertices of that interval class go to that box; inside a box,
-    positions are handed out in ascending vertex id.
+    placed vertices of that interval class go to that box;
+    :meth:`~bandapprox.boxes.BoxConfig.positions_for` then places each
+    box's vertices.
     """
     if res.value != cfg.n:
         raise ValueError(f"flow value {res.value} does not saturate n={cfg.n}")
@@ -194,28 +197,16 @@ def flow_to_layout(
         queues[iv].append(v)  # vertex ids ascend, so each class queue does too
 
     k_count = len(inst.keys)
-    box_members: dict[int, list[int]] = {box: [] for box in range(1, cfg.b + 1)}
+    boxes = [0] * cfg.n
     for (u, v, _c), f in zip(inst.arcs, res.arc_flow):
         if f <= 0 or not (1 <= u <= k_count and k_count < v < inst.sink):
             continue
-        key = inst.keys[u - 1]
-        box = v - k_count
-        q = queues[key]
+        q = queues[inst.keys[u - 1]]
         if len(q) < f:
             raise AssertionError("flow routes more vertices than the class holds")
         for _ in range(f):
-            box_members[box].append(q.popleft())
-
-    pos = [0] * cfg.n
-    for box in range(1, cfg.b + 1):
-        members = sorted(box_members[box])
-        slots = cfg.positions(box)
-        if len(members) != len(slots):
-            raise AssertionError(f"box {box} received {len(members)} vertices "
-                                 f"for {len(slots)} positions")
-        for v, p in zip(members, slots):
-            pos[v] = p
-    return Layout(tuple(pos))
+            boxes[q.popleft()] = v - k_count
+    return Layout(cfg.positions_for(boxes))
 
 
 def approx_bandwidth_alg2(

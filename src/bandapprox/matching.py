@@ -3,7 +3,10 @@
 A perfect matching between the n graph vertices and the n layout positions,
 with vertex v connectable only to positions inside its box interval, is
 exactly a feasible box-respecting layout.  The engine is Hopcroft-Karp
-(O(sqrt(V) * E)), deterministic for a fixed input ordering.
+(O(sqrt(V) * E)), deterministic for a fixed input ordering.  This back
+end only chooses each vertex's box: :func:`normalize_matching` keeps the
+boxes and :meth:`~bandapprox.boxes.BoxConfig.positions_for` places the
+vertices.
 """
 
 from __future__ import annotations
@@ -51,9 +54,9 @@ def build_auxiliary(intervals: Intervals, cfg: BoxConfig) -> AuxGraph:
             rows.append(())
             continue
         lo, hi = iv
-        start = (lo - 1) * cfg.boxsize + 1
-        stop = min(hi * cfg.boxsize, cfg.n)
-        rows.append(tuple(range(start, stop + 1)))
+        if not 1 <= lo <= hi <= cfg.b:
+            raise ValueError(f"interval ({lo}, {hi}) out of range for b={cfg.b}")
+        rows.append(tuple(range(cfg.positions(lo).start, cfg.positions(hi).stop)))
     return AuxGraph(n=cfg.n, adj=tuple(rows))
 
 
@@ -147,19 +150,15 @@ def matching_to_layout(m: Matching, cfg: BoxConfig) -> Layout:
 
 
 def normalize_matching(m: Matching, cfg: BoxConfig) -> Matching:
-    """Within each box, hand positions to matched vertices in ascending id
-    order.  Box membership (hence interval validity) is preserved; the point
-    is a canonical layout independent of the augmenting-path history."""
+    """Keep each vertex's box and let
+    :meth:`~bandapprox.boxes.BoxConfig.positions_for` place it: a canonical
+    layout independent of the augmenting-path history."""
     if not m.is_perfect(cfg.n):
         raise ValueError("only perfect matchings are normalized")
-    by_box: dict[int, list[int]] = {}
+    boxes = [0] * cfg.n
     for v, p in m.pairs:
-        by_box.setdefault(cfg.box_of(p), []).append(v)
-    pairs = []
-    for box, members in by_box.items():
-        for v, p in zip(sorted(members), cfg.positions(box)):
-            pairs.append((v, p))
-    return Matching(pairs=tuple(sorted(pairs)))
+        boxes[v] = cfg.box_of(p)
+    return Matching(pairs=tuple(enumerate(cfg.positions_for(boxes))))
 
 
 def approx_bandwidth_alg1(

@@ -73,6 +73,53 @@ class TestBoxConfig:
                     assert cfg.b <= math.ceil(1 / delta) + 1
 
 
+@st.composite
+def box_assignments(draw):
+    """A box config and a box per vertex that fills every box exactly, the
+    last one short whenever ``boxsize`` does not divide ``n``."""
+    n = draw(st.integers(1, 40))
+    cfg = make_box_config(n, draw(st.integers(1, n)))
+    boxes = [box for box in range(1, cfg.b + 1) for _ in range(cfg.capacities[box - 1])]
+    return cfg, draw(st.permutations(boxes))
+
+
+class TestPositionsFor:
+    @settings(max_examples=100, deadline=None)
+    @given(box_assignments())
+    def test_places_each_vertex_in_its_box_in_id_order(self, assignment):
+        cfg, boxes = assignment
+        pos = cfg.positions_for(boxes)
+        assert sorted(pos) == list(range(1, cfg.n + 1))
+        assert all(cfg.box_of(pos[v]) == boxes[v] for v in range(cfg.n))
+        for box in range(1, cfg.b + 1):
+            members = [v for v in range(cfg.n) if boxes[v] == box]
+            assert [pos[v] for v in members] == list(cfg.positions(box))
+
+    def test_short_last_box(self):
+        cfg = make_box_config(7, 3)
+        assert cfg.positions_for((3, 1, 2, 1, 2, 1, 2)) == (7, 1, 4, 2, 5, 3, 6)
+
+    @pytest.mark.parametrize(
+        "v,box,message",
+        [(0, 1, "box 1 received 4 vertices for 3 positions"),
+         (1, 3, "box 1 received 2 vertices for 3 positions")],
+    )
+    def test_box_over_or_under_capacity_raises(self, v, box, message):
+        # moving one vertex leaves one box a vertex over capacity and another
+        # a vertex under; the lower of the two is named
+        cfg = make_box_config(7, 3)
+        boxes = [3, 1, 2, 1, 2, 1, 2]
+        boxes[v] = box
+        with pytest.raises(AssertionError, match=message):
+            cfg.positions_for(boxes)
+
+    @pytest.mark.parametrize("bad", [0, -1, 4])
+    def test_box_out_of_range_raises(self, bad):
+        cfg = make_box_config(7, 3)
+        with pytest.raises(AssertionError, match=f"box {bad} received 1 vertices for 0"):
+            cfg.positions_for((3, 1, 2, 1, 2, 1, 2, bad))
+
+
 class TestEnumeratePlacements:
     def test_single_root_order(self):
         rs = RootSet(roots=(2,), hop_radius=2, certified=True)
@@ -267,6 +314,12 @@ class TestUpdateIntervals:
             with pytest.raises(ValueError, match="mismatch"):
                 update_intervals(rs, windows, cfg, wrong)
             with pytest.raises(ValueError, match="mismatch"):
+                build_intervals(g, rs, wrong, cfg, balls)
+        for bad in (0, -1, cfg.b + 1):
+            wrong = (bad,) + placement[1:]
+            with pytest.raises(ValueError, match=rf"box {bad} out of range 1\.\.{cfg.b}"):
+                update_intervals(rs, windows, cfg, wrong)
+            with pytest.raises(ValueError, match=rf"box {bad} out of range 1\.\.{cfg.b}"):
                 build_intervals(g, rs, wrong, cfg, balls)
         uncertified = RootSet(roots=rs.roots, hop_radius=2)
         with pytest.raises(ValueError, match="certified"):

@@ -201,6 +201,13 @@ class TestApprox:
         # components, so certification fails deterministically
         assert code == 2 and "dominating" in err
 
+    @pytest.mark.parametrize("delta", ["0", "1.5"])
+    def test_delta_out_of_range_is_a_usage_error(self, capsys, tmp_path, delta):
+        # min degree 10, so the flag, not the graph, is at fault
+        gpath = write_graph(tmp_path, complete_graph(11))
+        code, _, err = run_cli(capsys, "approx", gpath, "--delta", delta)
+        assert code == 1 and "delta must lie strictly between 0 and 1" in err
+
     def test_usage_error(self, capsys, tmp_path):
         gpath = write_graph(tmp_path, complete_graph(6))
         code, _, _ = run_cli(capsys, "approx", gpath, "--alg", "9")

@@ -9,7 +9,7 @@ from bandapprox.boxes import (
     root_balls,
 )
 from bandapprox.domset import RootSet, sample_certified
-from bandapprox.flow import approx_bandwidth_alg2
+from bandapprox.flow import approx_bandwidth_alg2, build_flow_instance, count_intervals
 from bandapprox.graph import gen_dense_random, make_graph
 from bandapprox.matching import (
     AuxGraph,
@@ -53,6 +53,16 @@ class TestBuildAuxiliary:
         aux = build_auxiliary(((1, 2), (1, 2), (1, 1), (2, 3), (3, 3), (2, 2)), cfg)
         assert aux.adj[0] == (1, 2, 3, 4)  # 2 boxes x 2 positions
         assert aux.adj[1] == (1, 2, 3, 4)
+
+    @pytest.mark.parametrize("bad", [(0, 1), (1, 3), (2, 1)])  # lo = 0, hi = b+1, lo > hi
+    def test_malformed_interval_rejected_like_the_flow_builder(self, bad):
+        cfg = make_box_config(4, 2)
+        intervals = (bad, (1, 1), (2, 2), (2, 2))
+        message = rf"interval \({bad[0]}, {bad[1]}\) out of range for b=2"
+        with pytest.raises(ValueError, match=message):
+            build_auxiliary(intervals, cfg)
+        with pytest.raises(ValueError, match=message):
+            build_flow_instance(count_intervals(intervals), cfg)
 
     def test_degree_bounded_by_window(self):
         for seed in range(5):
@@ -132,6 +142,14 @@ class TestMatchingToLayout:
         cfg = make_box_config(4, 2)
         norm = normalize_matching(m, cfg)
         assert norm.pairs == ((0, 1), (1, 2), (2, 3), (3, 4))
+
+    def test_normalize_keys_on_the_vertex_not_the_pair_order(self):
+        cfg = make_box_config(5, 2)
+        pairs = ((0, 5), (1, 2), (2, 3), (3, 1), (4, 4))
+        shuffled = Matching(pairs=(pairs[3], pairs[0], pairs[4], pairs[2], pairs[1]))
+        norm = normalize_matching(Matching(pairs=pairs), cfg)
+        assert normalize_matching(shuffled, cfg) == norm
+        assert norm.pairs == ((0, 5), (1, 1), (2, 3), (3, 2), (4, 4))
 
 
 class TestPipeline:
