@@ -12,7 +12,7 @@ import os
 import sys
 from pathlib import Path
 
-from .domset import DEFAULT_MAX_TRIES, CertificationError, SamplingParams
+from .domset import ALPHA, C, CertificationError, SamplingParams
 from .flow import approx_bandwidth_alg2
 from .graph import (
     Graph,
@@ -70,14 +70,13 @@ def _read_graph(path: str) -> Graph:
 
 
 def _run_algorithm(g: Graph, alg: str, seed: int, args) -> tuple:
-    params = SamplingParams(alpha=args.alpha, c=args.c, delta=args.delta)
-    common = dict(seed=seed, max_tries=args.max_tries)
+    params = SamplingParams(delta=args.delta)
     if alg == "1":
-        return approx_bandwidth_alg1(g, params, use_3hop=not args.no_3hop, **common)
+        return approx_bandwidth_alg1(g, params, seed, use_3hop=not args.no_3hop)
     if alg == "2":
-        return approx_bandwidth_alg2(g, params, use_3hop=not args.no_3hop, **common)
+        return approx_bandwidth_alg2(g, params, seed, use_3hop=not args.no_3hop)
     if alg == "baseline":
-        return approx_bandwidth_baseline(g, params, **common)
+        return approx_bandwidth_baseline(g, params, seed)
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
@@ -95,8 +94,8 @@ def _report_lines(
         f"n: {stats.n}",
         f"m: {m}",
         f"delta: {stats.delta:.6g}",
-        f"alpha: {stats.alpha:.6g}",
-        f"c: {stats.c:.6g}",
+        f"alpha: {ALPHA:.6g}",
+        f"c: {C:.6g}",
         f"roots: {stats.root_count}",
         f"certify_attempts: {stats.certify_attempts}",
         f"boxsize: {boxsize}",
@@ -208,14 +207,8 @@ def _parse_int_list(raw: str | None) -> list[int]:
 
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--alpha", type=float, default=0.5,
-                   help="sampling failure budget in (0,1)")
-    p.add_argument("--c", type=float, default=1.0,
-                   help="slack constant in the second-stage sample size")
     p.add_argument("--delta", type=float, default=None,
                    help="assume this density instead of measuring it")
-    p.add_argument("--max-tries", type=int, default=DEFAULT_MAX_TRIES,
-                   help="certification attempts before giving up")
     p.add_argument("--no-3hop", action="store_true",
                    help="drop the three-hop window tightening (wider layouts)")
 

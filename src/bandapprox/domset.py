@@ -1,7 +1,7 @@
 """Randomized dominating-set sampling and its closed-form sample sizes.
 
 A uniformly random set of ``kprime_size`` vertices is a two-hop dominating
-set of a delta-dense graph with probability at least ``(1-alpha)^2``; the
+set of a delta-dense graph with probability at least ``(1-ALPHA)^2``; the
 Las-Vegas wrapper below retries a deterministic seed sequence until a draw
 certifies, so downstream code only ever sees verified root sets.
 """
@@ -18,6 +18,10 @@ from .graph import Graph, hop_balls
 from .graph import bfs_from_set  # noqa: F401
 from .util import ceil_snapped
 
+# failure budget and slack constant of the sample sizes
+ALPHA = 0.5
+C = 1.0
+# draws sample_certified tries before it gives up
 DEFAULT_MAX_TRIES = 50
 
 
@@ -41,21 +45,15 @@ class CertificationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SamplingParams:
-    """Failure budget ``alpha``, slack constant ``c``, and density ``delta``.
+    """The density ``delta`` the sample sizes assume.
 
     ``delta`` is a constant strictly between 0 and 1, or ``None`` meaning
     "measure it from the input graph".
     """
 
-    alpha: float = 0.5
-    c: float = 1.0
     delta: float | None = None
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError("alpha must lie strictly between 0 and 1")
-        if self.c < 1.0:
-            raise ValueError("c must be at least 1")
         if self.delta is not None and not 0.0 < self.delta < 1.0:
             raise ValueError("delta must lie strictly between 0 and 1")
 
@@ -93,24 +91,24 @@ def _size_from_logs(numerator: float, delta: float | None) -> int:
 
 
 def k_size(n: int, params: SamplingParams) -> int:
-    """Sample size making the expected undominated count at most alpha.
+    """Sample size making the expected undominated count at most ALPHA.
 
-    ``ceil(log(n/alpha) / log(1/(1-delta)))``, which is O(log n) for
+    ``ceil(log(n/ALPHA) / log(1/(1-delta)))``, which is O(log n) for
     constant delta.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    return _size_from_logs(n / params.alpha, params.delta)
+    return _size_from_logs(n / ALPHA, params.delta)
 
 
 def kprime_size(n: int, params: SamplingParams) -> int:
-    """Sample size whose draw two-hop dominates with probability (1-alpha)^2.
+    """Sample size whose draw two-hop dominates with probability (1-ALPHA)^2.
 
-    ``ceil(log(k*c/alpha) / log(1/(1-delta)))`` with ``k = k_size(n)``;
+    ``ceil(log(k*C/ALPHA) / log(1/(1-delta)))`` with ``k = k_size(n)``;
     this is the O(log log n)-scale set that drives both pipelines.
     """
     k = k_size(n, params)
-    return _size_from_logs(k * params.c / params.alpha, params.delta)
+    return _size_from_logs(k * C / ALPHA, params.delta)
 
 
 def is_dominating(g: Graph, rs: RootSet) -> bool:
@@ -120,26 +118,18 @@ def is_dominating(g: Graph, rs: RootSet) -> bool:
     return hop_balls(g, rs.roots, rs.hop_radius)[-1] == (1 << g.n) - 1
 
 
-def sample_certified(
-    g: Graph,
-    size: int,
-    seed: int,
-    hop_radius: int = 2,
-    max_tries: int = DEFAULT_MAX_TRIES,
-) -> RootSet:
+def sample_certified(g: Graph, size: int, seed: int, hop_radius: int = 2) -> RootSet:
     """First draw from a deterministic seed sequence that certifies.
 
     Draws advance one RNG stream, so the result is reproducible per seed.
-    Raises :class:`CertificationError` after ``max_tries`` failures.
+    Raises :class:`CertificationError` after ``DEFAULT_MAX_TRIES`` failures.
     """
     if not 1 <= size <= g.n:
         raise ValueError(f"size must be in 1..{g.n}, got {size}")
-    if max_tries < 1:
-        raise ValueError("max_tries must be at least 1")
     rng = random.Random(seed)
-    for attempt in range(1, max_tries + 1):
+    for attempt in range(1, DEFAULT_MAX_TRIES + 1):
         roots = tuple(sorted(rng.sample(range(g.n), size)))
         rs = RootSet(roots=roots, hop_radius=hop_radius, attempts=attempt)
         if is_dominating(g, rs):
             return replace(rs, certified=True)
-    raise CertificationError(max_tries, size, hop_radius)
+    raise CertificationError(DEFAULT_MAX_TRIES, size, hop_radius)

@@ -18,7 +18,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .boxes import BoxConfig, Intervals
-from .domset import DEFAULT_MAX_TRIES
 from .graph import Graph
 from .oracle import Layout
 
@@ -215,8 +214,6 @@ def approx_bandwidth_alg2(
     seed: int = 0,
     *,
     use_3hop: bool = True,
-    max_tries: int = DEFAULT_MAX_TRIES,
-    record_trace: bool = False,
 ):
     """Approximate bandwidth with the compressed-flow feasibility test.
 
@@ -233,6 +230,4 @@ def approx_bandwidth_alg2(
         backend="flow",
         hop_radius=2,
         use_3hop=use_3hop,
-        max_tries=max_tries,
-        record_trace=record_trace,
     )

@@ -58,24 +58,28 @@ class Graph:
         return len(self.adj[v])
 
 
-def _add_edge(seen: set[tuple[int, int]], n: int, u: int, v: int) -> None:
-    """Add edge ``(u, v)`` to ``seen`` as ``(min, max)``; ``ValueError`` on
-    an id outside ``0..n-1``, a self-loop or a duplicate."""
+def _add_edge(seen: set[int], n: int, u: int, v: int) -> None:
+    """Add edge ``(u, v)`` to ``seen`` as ``min * n + max``; ``ValueError``
+    on an id outside ``0..n-1``, a self-loop or a duplicate."""
     if not (0 <= u < n and 0 <= v < n):
         raise ValueError(f"edge ({u}, {v}) out of range 0..{n - 1}")
     if u == v:
         raise ValueError(f"self-loop at vertex {u}")
-    key = (u, v) if u < v else (v, u)
+    if u > v:
+        u, v = v, u
+    key = u * n + v
     if key in seen:
-        raise ValueError(f"duplicate edge {key}")
+        raise ValueError(f"duplicate edge ({u}, {v})")
     seen.add(key)
 
 
-def _graph_of(n: int, seen: set[tuple[int, int]]) -> Graph:
-    """The graph of a validated edge set: each adjacency row sorted, and
-    the sorted edge tuple read off the rows' higher neighbours."""
+def _graph_of(n: int, seen: set[int]) -> Graph:
+    """The graph of a validated edge set keyed as by :func:`_add_edge`:
+    each adjacency row sorted, and the sorted edge tuple read off the rows'
+    higher neighbours."""
     rows: list[list[int]] = [[] for _ in range(n)]
-    for u, v in seen:
+    for key in seen:
+        u, v = divmod(key, n)
         rows[u].append(v)
         rows[v].append(u)
     for row in rows:
@@ -99,7 +103,7 @@ def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """
     if n < 1:
         raise ValueError("vertex count must be at least 1")
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for u, v in edges:
         _add_edge(seen, n, u, v)
     return _graph_of(n, seen)
@@ -128,13 +132,13 @@ def parse_graph(text: str) -> Graph:
     if m < 0:
         raise GraphParseError(1, "edge count must be nonnegative")
 
-    seen: set[tuple[int, int]] = set()
+    seen: set[int] = set()
     for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
+        parts = raw.split()
+        if not parts:
             continue
         if len(seen) == m:
             raise GraphParseError(line_no, f"more than {m} edge lines")
-        parts = raw.split()
         if len(parts) != 2:
             raise GraphParseError(line_no, f"expected 'u v', got {raw!r}")
         try:

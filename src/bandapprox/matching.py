@@ -15,7 +15,6 @@ from collections import deque
 from dataclasses import dataclass
 
 from .boxes import BoxConfig, Intervals
-from .domset import DEFAULT_MAX_TRIES
 from .graph import Graph
 from .oracle import Layout
 
@@ -167,8 +166,6 @@ def approx_bandwidth_alg1(
     seed: int = 0,
     *,
     use_3hop: bool = True,
-    max_tries: int = DEFAULT_MAX_TRIES,
-    record_trace: bool = False,
 ):
     """Approximate bandwidth via placement search + perfect matching.
 
@@ -186,8 +183,6 @@ def approx_bandwidth_alg1(
         backend="matching",
         hop_radius=2,
         use_3hop=use_3hop,
-        max_tries=max_tries,
-        record_trace=record_trace,
     )
 
 
@@ -195,9 +190,6 @@ def approx_bandwidth_baseline(
     g: Graph,
     params=None,
     seed: int = 0,
-    *,
-    max_tries: int = DEFAULT_MAX_TRIES,
-    record_trace: bool = False,
 ):
     """Comparison mode: one-hop dominating roots with +/-1 windows feeding
     the same matching back end."""
@@ -210,6 +202,4 @@ def approx_bandwidth_baseline(
         backend="matching",
         hop_radius=1,
         use_3hop=False,
-        max_tries=max_tries,
-        record_trace=record_trace,
     )

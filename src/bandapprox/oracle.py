@@ -87,6 +87,7 @@ def _layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None
     """First layout (in search order) with bandwidth <= k, or None."""
     n = g.n
     pos = [0] * n  # 0 = unplaced
+    at = [0] * (n + 1)  # at[q] is the vertex at position q < p
     pending = [g.degree(v) for v in range(n)]  # unplaced-neighbor counts
     degrees = [g.degree(v) for v in range(n)]
     adj = g.adj
@@ -104,26 +105,25 @@ def _layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None
         # slots p..d; a single w whose pending neighbors outnumber its open
         # slots fails here too.  A union that exactly fills its slots claims
         # them, forcing the current position to one of its members.
-        deadlines = sorted(
-            (pos[w] + k, w) for w in range(n) if pos[w] and pending[w]
-        )
+        # The vertex at p-k-1 has no open slot left; those before it were
+        # cleared at earlier depths and pending counts only fall, so only
+        # positions p-k..p-1 can claim, in deadline order.
+        if p > k + 1 and pending[at[p - k - 1]]:
+            return False
         allowed: frozenset[int] | None = None
-        if deadlines:
-            claimed: set[int] = set()
-            i = 0
-            while i < len(deadlines):
-                d = deadlines[i][0]
-                while i < len(deadlines) and deadlines[i][0] == d:
-                    w = deadlines[i][1]
-                    for u in adj[w]:
-                        if not pos[u]:
-                            claimed.add(u)
-                    i += 1
-                slots = d - p + 1
-                if len(claimed) > slots:
-                    return False
-                if allowed is None and len(claimed) == slots:
-                    allowed = frozenset(claimed)
+        claimed: set[int] = set()
+        for q in range(max(1, p - k), p):
+            w = at[q]
+            if not pending[w]:
+                continue
+            for u in adj[w]:
+                if not pos[u]:
+                    claimed.add(u)
+            slots = q + k - p + 1
+            if len(claimed) > slots:
+                return False
+            if allowed is None and len(claimed) == slots:
+                allowed = frozenset(claimed)
         for v in order:
             if pos[v]:
                 continue
@@ -139,6 +139,7 @@ def _layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None
             if not ok:
                 continue
             pos[v] = p
+            at[p] = v
             for u in adj[v]:
                 pending[u] -= 1
             if dfs(p + 1):

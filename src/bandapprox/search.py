@@ -24,7 +24,7 @@ feasible or not; a prefix the cut removes reaches none.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .boxes import BoxConfig, Intervals, PlacementPrefix, make_box_config, root_balls, root_windows
 # Not called here; bound because perfbench/tracer.py wraps these names in
@@ -35,7 +35,7 @@ from .boxes import (  # noqa: F401
     root_distances,
     update_intervals,
 )
-from .domset import DEFAULT_MAX_TRIES, SamplingParams, k_size, kprime_size, sample_certified
+from .domset import SamplingParams, k_size, kprime_size, sample_certified
 from .flow import build_flow_instance, count_intervals, flow_to_layout, max_flow
 from .graph import Graph, density
 from .matching import build_auxiliary, matching_to_layout, max_matching, normalize_matching
@@ -44,10 +44,6 @@ from .oracle import Layout, degree_lower_bound
 
 class InfeasibleError(RuntimeError):
     """No (boxsize, placement) configuration admitted a complete assignment."""
-
-    def __init__(self, message: str, stats: "SearchStats | None" = None) -> None:
-        super().__init__(message)
-        self.stats = stats
 
 
 @dataclass
@@ -63,17 +59,15 @@ class SearchStats:
     once, in ``pruned_empty`` (some vertex has no admissible box) or else in
     ``pruned_by_hall`` (some box range is over capacity, or the twin
     look-ahead finds no box for the next twin class's last member).
-    ``trace`` holds ``(boxsize, boxes, feasible)`` per complete placement,
-    the winner last; ``max_interval_keys`` and ``max_flow_nodes`` describe
-    the winner's flow instance.  ``time_bfs`` times the root ball walks.
+    ``winner`` holds the winning placement's root boxes, aligned with the
+    roots; ``max_interval_keys`` and ``max_flow_nodes`` describe the
+    winner's flow instance.  ``time_bfs`` times the root ball walks.
     """
 
     algorithm: str
     seed: int
     n: int
     delta: float
-    alpha: float
-    c: float
     hop_radius: int
     use_3hop: bool
     root_count: int = 0
@@ -85,7 +79,7 @@ class SearchStats:
     pruned_by_hall: int = 0
     max_interval_keys: int = 0
     max_flow_nodes: int = 0
-    trace: list | None = None
+    winner: tuple[int, ...] = ()
     time_certify: float = 0.0
     time_bfs: float = 0.0
     time_scan: float = 0.0
@@ -100,8 +94,6 @@ def run_search(
     backend: str,
     hop_radius: int,
     use_3hop: bool,
-    max_tries: int = DEFAULT_MAX_TRIES,
-    record_trace: bool = False,
 ) -> tuple[Layout, int, SearchStats]:
     if backend not in ("matching", "flow"):
         raise ValueError(f"unknown backend {backend!r}")
@@ -114,7 +106,7 @@ def run_search(
     if delta <= 0.0:
         raise ValueError("graph has an isolated vertex (density 0); dense input required")
 
-    sized = replace(params, delta=delta)
+    sized = SamplingParams(delta=delta)
     size = kprime_size(n, sized) if hop_radius == 2 else k_size(n, sized)
     size = min(size, n)
 
@@ -123,16 +115,12 @@ def run_search(
         seed=seed,
         n=n,
         delta=delta,
-        alpha=params.alpha,
-        c=params.c,
         hop_radius=hop_radius,
         use_3hop=use_3hop,
     )
-    if record_trace:
-        stats.trace = []
 
     t0 = time.perf_counter()
-    rs = sample_certified(g, size, seed, hop_radius=hop_radius, max_tries=max_tries)
+    rs = sample_certified(g, size, seed, hop_radius=hop_radius)
     stats.time_certify = time.perf_counter() - t0
     stats.root_count = len(rs.roots)
     stats.certify_attempts = rs.attempts or 0
@@ -154,7 +142,7 @@ def run_search(
 
     # a guard only: box size n is one box holding every vertex, so it fits
     if layout is None:
-        raise InfeasibleError(f"no feasible configuration for box sizes {start}..{n}", stats)
+        raise InfeasibleError(f"no feasible configuration for box sizes {start}..{n}")
     return layout, boxsize, stats
 
 
@@ -165,6 +153,7 @@ def _scan_boxsize(g, rs, windows, backend, stats, boxsize):
     boxes = _first_feasible_placement(prefix, stats)
     if boxes is None:
         return None
+    stats.winner = boxes
     # the walk stops with the winner placed, so its prefix holds the intervals
     layout = _extract_layout(prefix.intervals(rs.roots), cfg, backend, stats)
     if layout is None:
@@ -209,8 +198,6 @@ def _first_feasible_placement(prefix: PlacementPrefix, stats: SearchStats):
             stats.pruned_by_hall += 1
         if d == k - 1:
             stats.configs_tried += 1
-            if stats.trace is not None:
-                stats.trace.append((prefix.cfg.boxsize, tuple(boxes), cut is None))
             if cut is None:
                 return tuple(boxes)
         elif cut is None:

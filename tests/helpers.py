@@ -4,18 +4,20 @@ Every oracle here is deliberately naive (Floyd-Warshall, exhaustive
 matching enumeration, cut enumeration, a scan of every permutation) so
 that the fast implementations are checked against something that cannot
 share their bugs.  ``frozen_gen_dense_random`` keeps the first version of
-the graph generator, which the current one must reproduce exactly.
+the graph generator, which the current one must reproduce exactly, and
+``recorded_leaves`` lists every complete placement a search tests.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
+from contextlib import contextmanager
 from math import sqrt
 
 import numpy as np
 
-from bandapprox.boxes import BoxConfig, RootWindows
+from bandapprox.boxes import BoxConfig, PlacementPrefix, RootWindows
 from bandapprox.domset import RootSet
 from bandapprox.flow import FlowInstance
 from bandapprox.graph import Graph, make_graph
@@ -32,6 +34,30 @@ def sample_rootset(g: Graph, size: int, seed: int, hop_radius: int = 2) -> RootS
     rng = random.Random(seed)
     roots = tuple(sorted(rng.sample(range(g.n), size)))
     return RootSet(roots=roots, hop_radius=hop_radius)
+
+
+@contextmanager
+def recorded_leaves():
+    """Every complete placement the searches run inside the block test, as
+    ``(boxsize, boxes, feasible)`` in walk order, the winner last.
+
+    Wraps :meth:`PlacementPrefix.cut`, which the walk calls once per node;
+    a call with every root placed is a leaf.
+    """
+    leaves = []
+    cut = PlacementPrefix.cut
+
+    def recording(self, e):
+        verdict = cut(self, e)
+        if e == len(self.boxes):
+            leaves.append((self.cfg.boxsize, tuple(self.boxes), verdict is None))
+        return verdict
+
+    PlacementPrefix.cut = recording
+    try:
+        yield leaves
+    finally:
+        PlacementPrefix.cut = cut
 
 
 def three_hop_listings(windows: RootWindows) -> int:

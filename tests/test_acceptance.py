@@ -112,9 +112,7 @@ class TestAcceptance:
                     (approx_bandwidth_alg1, "alg1"),
                     (approx_bandwidth_alg2, "alg2"),
                 ):
-                    layout, boxsize, stats = run(
-                        g, seed=seed, use_3hop=use_3hop, record_trace=True
-                    )
+                    layout, boxsize, stats = run(g, seed=seed, use_3hop=use_3hop)
                     bw = layout_bandwidth(g, layout)
                     if bw > bound * exact:
                         violations.append((name, use_3hop, seed, bw, exact))
@@ -122,7 +120,7 @@ class TestAcceptance:
                         rs = sample_certified(g, stats.root_count, seed=seed)
                         cfg = make_box_config(g.n, boxsize)
                         gap_violations += len(
-                            box_gap_violations(g, layout, rs, stats.trace[-1][1], cfg)
+                            box_gap_violations(g, layout, rs, stats.winner, cfg)
                         )
         elapsed = time.perf_counter() - t0
         report(
@@ -145,7 +143,7 @@ class TestAcceptance:
     def test_4_domination_probability(self):
         t0 = time.perf_counter()
         g = gen_dense_random(60, 0.4, 2024)
-        params = SamplingParams(alpha=0.5, c=1.0, delta=0.4)
+        params = SamplingParams(delta=0.4)
         size = kprime_size(60, params)
         hits = sum(
             is_dominating(g, sample_rootset(g, size, seed)) for seed in range(1000)
@@ -259,7 +257,7 @@ class TestAcceptance:
 
         def domination_workload():
             g = gen_dense_random(60, 0.4, 2024)
-            size = kprime_size(60, SamplingParams(alpha=0.5, c=1.0, delta=0.4))
+            size = kprime_size(60, SamplingParams(delta=0.4))
             bits = "".join(
                 "1" if is_dominating(g, sample_rootset(g, size, seed)) else "0"
                 for seed in range(200)
@@ -324,7 +322,7 @@ def measure_feasibility_times(n, delta, seed, placements=6):
     one-time root windows are excluded from both timings.
     """
     g = gen_dense_random(n, delta, seed)
-    params = SamplingParams(alpha=0.5, c=1.0, delta=delta)
+    params = SamplingParams(delta=delta)
     size = kprime_size(n, params)
     rs = sample_certified(g, size, seed)
     cfg = make_box_config(n, ceil_snapped(delta * n))

@@ -193,10 +193,7 @@ class TestApprox:
             + [(u, v) for u in range(6, 12) for v in range(u + 1, 12)],
         )
         gpath = write_graph(tmp_path, g)
-        code, _, err = run_cli(
-            capsys, "approx", gpath, "--seed", "0", "--delta", "0.9",
-            "--max-tries", "3",
-        )
+        code, _, err = run_cli(capsys, "approx", gpath, "--seed", "0", "--delta", "0.9")
         # delta=0.9 requests a single root, which cannot dominate two
         # components, so certification fails deterministically
         assert code == 2 and "dominating" in err

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bandapprox.domset import (
+    DEFAULT_MAX_TRIES,
     CertificationError,
     RootSet,
     SamplingParams,
@@ -38,22 +39,22 @@ def mp_size(numerator, delta):
 class TestSizes:
     def test_k_round_case(self):
         # log2(2048) / log2(2) lands exactly on 11
-        assert k_size(1024, SamplingParams(alpha=0.5, delta=0.5)) == 11
+        assert k_size(1024, SamplingParams(delta=0.5)) == 11
 
     def test_k_tiny(self):
-        assert k_size(2, SamplingParams(alpha=0.99, delta=0.99)) == 1
+        assert k_size(2, SamplingParams(delta=0.99)) == 1
 
     def test_k_large_high_precision(self):
-        params = SamplingParams(alpha=0.5, delta=0.3)
+        params = SamplingParams(delta=0.3)
         assert k_size(10**6, params) == 41
         assert k_size(10**6, params) == mp_size(mpmath.mpf(10**6) / mpmath.mpf("0.5"), "0.3")
 
     def test_kprime_round_case(self):
-        assert kprime_size(1024, SamplingParams(alpha=0.5, c=1.0, delta=0.5)) == 5
+        assert kprime_size(1024, SamplingParams(delta=0.5)) == 5
 
     def test_kprime_reduces_when_k_is_one(self):
         # delta large enough that a single draw dominates in expectation
-        params = SamplingParams(alpha=0.5, c=1.0, delta=0.8)
+        params = SamplingParams(delta=0.8)
         assert k_size(2, params) == 1
         expected = math.ceil(math.log(2) / math.log(1 / 0.2) - 1e-9)
         assert kprime_size(2, params) == expected
@@ -61,26 +62,23 @@ class TestSizes:
     @pytest.mark.parametrize("n", [10, 100, 10**4, 10**8])
     @pytest.mark.parametrize("delta", [0.2, 0.5, 0.77])
     def test_against_high_precision(self, n, delta):
-        params = SamplingParams(alpha=0.5, c=1.0, delta=delta)
+        params = SamplingParams(delta=delta)
         k = k_size(n, params)
         assert k == mp_size(mpmath.mpf(n) / mpmath.mpf("0.5"), str(delta))
         assert kprime_size(n, params) == mp_size(mpmath.mpf(k) * 2, str(delta))
 
-    def test_monotone_in_delta_and_alpha(self):
+    def test_monotone_in_delta(self):
         deltas = [0.1, 0.2, 0.3, 0.5, 0.7, 0.9]
         for n in (16, 1000, 10**6):
-            ks = [k_size(n, SamplingParams(alpha=0.5, delta=d)) for d in deltas]
-            kps = [kprime_size(n, SamplingParams(alpha=0.5, delta=d)) for d in deltas]
+            ks = [k_size(n, SamplingParams(delta=d)) for d in deltas]
+            kps = [kprime_size(n, SamplingParams(delta=d)) for d in deltas]
             assert ks == sorted(ks, reverse=True)
             assert kps == sorted(kps, reverse=True)
-        alphas = [0.05, 0.1, 0.3, 0.5, 0.9]
-        ks = [k_size(1000, SamplingParams(alpha=a, delta=0.4)) for a in alphas]
-        assert ks == sorted(ks, reverse=True)
 
     def test_monotone_in_n(self):
         ns = [2, 10, 100, 10**4, 10**7]
-        ks = [k_size(n, SamplingParams(alpha=0.5, delta=0.4)) for n in ns]
-        kps = [kprime_size(n, SamplingParams(alpha=0.5, delta=0.4)) for n in ns]
+        ks = [k_size(n, SamplingParams(delta=0.4)) for n in ns]
+        kps = [kprime_size(n, SamplingParams(delta=0.4)) for n in ns]
         assert ks == sorted(ks)
         assert kps == sorted(kps)
 
@@ -94,14 +92,6 @@ class TestSizes:
         with pytest.raises(ValueError):
             k_size(100, SamplingParams())  # delta unset
 
-    def test_param_validation(self):
-        with pytest.raises(ValueError):
-            SamplingParams(alpha=0.0)
-        with pytest.raises(ValueError):
-            SamplingParams(alpha=1.0)
-        with pytest.raises(ValueError):
-            SamplingParams(c=0.5)
-
     def test_delta_as_function_of_n(self):
         # densities shrinking like (log log n)^2 / log n still give sizes
         # within a small multiple of log log n (constant fitted offline)
@@ -110,7 +100,7 @@ class TestSizes:
 
         for e in range(4, 16):
             n = 10**e
-            kp = kprime_size(n, SamplingParams(alpha=0.5, c=1.0, delta=shrinking(n)))
+            kp = kprime_size(n, SamplingParams(delta=shrinking(n)))
             assert kp <= 4.0 * math.log(math.log(n))
 
 
@@ -209,21 +199,21 @@ class TestCertification:
     def test_impossible_graph_exhausts(self):
         g = empty_graph(6)
         with pytest.raises(CertificationError) as exc:
-            sample_certified(g, 2, seed=0, hop_radius=2, max_tries=7)
-        assert exc.value.attempts == 7
+            sample_certified(g, 2, seed=0, hop_radius=2)
+        assert exc.value.attempts == DEFAULT_MAX_TRIES
 
     def test_dense_instance_succeeds_and_rate_is_healthy(self):
         from bandapprox.domset import kprime_size
 
         g = gen_dense_random(60, 0.4, 21)
-        params = SamplingParams(alpha=0.5, c=1.0, delta=0.4)
+        params = SamplingParams(delta=0.4)
         size = kprime_size(60, params)
         rs = sample_certified(g, size, seed=5)
         assert rs.certified and len(rs.roots) == size
         hits = sum(
             is_dominating(g, sample_rootset(g, size, seed)) for seed in range(200)
         )
-        assert hits / 200 >= 0.15  # lower bound is (1-alpha)^2 - slack
+        assert hits / 200 >= 0.15  # lower bound is (1-ALPHA)^2 - slack
 
     def test_certified_sequence_deterministic(self):
         g = gen_dense_random(40, 0.4, 2)
@@ -233,6 +223,6 @@ class TestCertification:
 
     def test_derived_size_certifies_on_dense_instance(self):
         g = gen_dense_random(40, 0.5, 3)
-        size = kprime_size(40, SamplingParams(alpha=0.5, c=1.0, delta=0.5))
+        size = kprime_size(40, SamplingParams(delta=0.5))
         rs = sample_certified(g, size, seed=11)
         assert rs.certified and rs.hop_radius == 2

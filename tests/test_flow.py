@@ -19,7 +19,7 @@ from bandapprox.flow import (
 from bandapprox.graph import gen_dense_random
 from bandapprox.matching import approx_bandwidth_alg1, build_auxiliary
 from bandapprox.oracle import layout_bandwidth
-from helpers import complete_graph, min_cut_value
+from helpers import complete_graph, min_cut_value, recorded_leaves
 
 
 def certified_intervals(g, seed, boxsize, nroots=3, placement_index=0):
@@ -206,10 +206,13 @@ class TestPipeline:
     @pytest.mark.parametrize("seed", range(10))
     def test_verdicts_match_alg1(self, seed):
         g = gen_dense_random(12, 0.5, 300 + seed)
-        l1, b1, s1 = approx_bandwidth_alg1(g, seed=seed, record_trace=True)
-        l2, b2, s2 = approx_bandwidth_alg2(g, seed=seed, record_trace=True)
+        with recorded_leaves() as leaves1:
+            l1, b1, s1 = approx_bandwidth_alg1(g, seed=seed)
+        with recorded_leaves() as leaves2:
+            l2, b2, s2 = approx_bandwidth_alg2(g, seed=seed)
         assert b1 == b2
-        assert s1.trace == s2.trace
+        assert leaves1 == leaves2
+        assert s1.winner == s2.winner == leaves1[-1][1]
 
     def test_box_size_search_has_no_modes(self):
         with pytest.raises(TypeError):

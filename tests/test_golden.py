@@ -4,11 +4,16 @@ Each run goes through ``cli.main`` on a graph file, so the whole pipeline
 and the report format are covered.  ``golden/reports.json`` holds, per run,
 the sha256 of the report as printed plus the box size, bandwidth and walk
 counters as plain values, so a mismatch says what moved.
-``golden/approx-g50.txt`` is the full report on ``generate 50 0.3 1``, which
-CI also diffs against the installed package's output.
+``golden/approx-g50.txt`` is the full alg-2 report on ``generate 50 0.3 1``,
+and ``approx-g50-alg1.txt`` and ``approx-g50-baseline.txt`` are the other
+back ends' reports on the same graph; CI also diffs all three against the
+installed package's output.  ``golden/exact.json`` holds the ``exact``
+output (value and witness layout) per oracle graph.  Sound pruning never
+changes the first layout the branch and bound finds, so these move only
+when a change cuts a subtree that holds a layout or reorders the search.
 
-A change that is meant to alter reports re-records both files and says so
-in CHANGES.md::
+A change that is meant to alter reports or witnesses re-records these
+files and says so in CHANGES.md::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -31,6 +36,11 @@ from helpers import planted_band
 GOLDEN = Path(__file__).parent / "golden"
 REPORTS = GOLDEN / "reports.json"
 G50_REPORT = GOLDEN / "approx-g50.txt"
+G50_OTHER_REPORTS = {
+    "1": GOLDEN / "approx-g50-alg1.txt",
+    "baseline": GOLDEN / "approx-g50-baseline.txt",
+}
+EXACT = GOLDEN / "exact.json"
 
 GRAPHS = {
     **{f"generate-{n}-{d}-{s}": (gen_dense_random, n, d, s)
@@ -46,6 +56,13 @@ ALGORITHMS = {
 }
 SEEDS = (0, 5)
 RUNS = [f"{graph}/{alg}/seed{seed}" for graph in GRAPHS for alg in ALGORITHMS for seed in SEEDS]
+# within the oracle's size cap
+EXACT_GRAPHS = {
+    **{f"generate-{n}-{d}-{s}": (gen_dense_random, n, d, s)
+       for n, d, s in ((9, 0.2, 0), (10, 0.3, 1), (11, 0.2, 1), (12, 0.3, 0), (13, 0.2, 0),
+                       (14, 0.3, 1))},
+    **{f"planted-{n}-{w}-{s}": (planted_band, n, w, s) for n, w, s in ((12, 2, 1), (14, 3, 0))},
+}
 
 
 def approx(path: Path, *flags: str) -> tuple[str, dict]:
@@ -80,7 +97,7 @@ def approx(path: Path, *flags: str) -> tuple[str, dict]:
 
 
 def graph_file(directory: Path, name: str) -> Path:
-    make, *args = GRAPHS[name]
+    make, *args = GRAPHS.get(name) or EXACT_GRAPHS[name]
     path = directory / f"{name}.txt"
     if not path.exists():
         path.write_text(serialize_graph(make(*args)), encoding="utf-8")
@@ -93,11 +110,19 @@ def run(directory: Path, run_id: str) -> dict:
     return record
 
 
-def g50_report(directory: Path) -> str:
+def g50_report(directory: Path, *flags: str) -> str:
     path = directory / "g50.txt"
     assert cli.main(["generate", "50", "0.3", "1", "--out", str(path)]) == cli.EXIT_OK
-    report, _ = approx(path)
+    report, _ = approx(path, *flags)
     return report
+
+
+def exact(directory: Path, name: str) -> str:
+    """What ``exact`` prints for the oracle graph ``name``: value, then layout."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        assert cli.main(["exact", str(graph_file(directory, name))]) == cli.EXIT_OK
+    return out.getvalue()
 
 
 @pytest.fixture(scope="module")
@@ -123,6 +148,20 @@ def test_g50_report_matches_the_committed_file(tmp_path):
     assert g50_report(tmp_path) == G50_REPORT.read_text(encoding="utf-8")
 
 
+@pytest.mark.parametrize("alg", sorted(G50_OTHER_REPORTS))
+def test_g50_report_of_each_other_back_end_matches_its_file(tmp_path, alg):
+    assert g50_report(tmp_path, "--alg", alg) == G50_OTHER_REPORTS[alg].read_text(encoding="utf-8")
+
+
+def test_exact_fixture_covers_every_graph():
+    assert sorted(json.loads(EXACT.read_text(encoding="utf-8"))) == sorted(EXACT_GRAPHS)
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_GRAPHS))
+def test_exact_matches_the_recording(graph_dir, name):
+    assert exact(graph_dir, name) == json.loads(EXACT.read_text(encoding="utf-8"))[name]
+
+
 if __name__ == "__main__":
     import tempfile
 
@@ -132,4 +171,9 @@ if __name__ == "__main__":
         records = {run_id: run(directory, run_id) for run_id in RUNS}
         REPORTS.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n", encoding="utf-8")
         G50_REPORT.write_text(g50_report(directory), encoding="utf-8")
-    print(f"recorded {len(records)} runs in {REPORTS} and the g50 report in {G50_REPORT}")
+        for alg, path in G50_OTHER_REPORTS.items():
+            path.write_text(g50_report(directory, "--alg", alg), encoding="utf-8")
+        exacts = {name: exact(directory, name) for name in EXACT_GRAPHS}
+        EXACT.write_text(json.dumps(exacts, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"recorded {len(records)} runs in {REPORTS}, the g50 reports in {GOLDEN} "
+          f"and {len(exacts)} exact outputs in {EXACT}")

@@ -174,12 +174,10 @@ class TestPipeline:
     def test_box_gap_case_analysis(self):
         for seed in range(10):
             g = gen_dense_random(12, 0.5, 200 + seed)
-            layout, boxsize, stats = approx_bandwidth_alg1(g, seed=seed, record_trace=True)
+            layout, boxsize, stats = approx_bandwidth_alg1(g, seed=seed)
             rs = sample_certified(g, stats.root_count, seed=seed)
             cfg = make_box_config(g.n, boxsize)
-            winning = stats.trace[-1]
-            assert winning[2] is True
-            assert box_gap_violations(g, layout, rs, winning[1], cfg) == []
+            assert box_gap_violations(g, layout, rs, stats.winner, cfg) == []
 
     def test_perfect_matching_exists_at_optimal_configuration(self):
         for seed in range(6):

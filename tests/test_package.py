@@ -1,12 +1,15 @@
-"""The package root's user API, the shared ``max_tries`` default, the
-benchmark tracer's bindings into the library's modules and its callbacks on
-what they return, and the library's imports, each one used."""
+"""The package root's user API, the certification retry budget every entry
+point shares, the benchmark tracer's bindings into the library's modules and
+its callbacks on what they return, and the library's imports, each one
+used."""
 
 from __future__ import annotations
 
 import ast
 import importlib.util
 import inspect
+from dataclasses import fields
+from functools import partial
 from pathlib import Path
 from time import perf_counter
 
@@ -45,6 +48,21 @@ class TestPackageRoot:
         assert len(bandapprox.__all__) == len(USER_API) == 23
         assert set(bandapprox.__all__) == USER_API
 
+    def test_pipeline_signatures(self):
+        # the sampling constants and the retry budget are not parameters
+        def shape(fn):
+            params = inspect.signature(fn).parameters.values()
+            return [(p.name, p.kind.name, p.default) for p in params]
+
+        common = [("g", "POSITIONAL_OR_KEYWORD", inspect.Parameter.empty),
+                  ("params", "POSITIONAL_OR_KEYWORD", None), ("seed", "POSITIONAL_OR_KEYWORD", 0)]
+        for fn in (bandapprox.approx_bandwidth_alg1, bandapprox.approx_bandwidth_alg2):
+            assert shape(fn) == common + [("use_3hop", "KEYWORD_ONLY", True)]
+        assert shape(bandapprox.approx_bandwidth_baseline) == common
+        assert [f.name for f in fields(bandapprox.SamplingParams)] == ["delta"]
+        names = {f.name for f in fields(bandapprox.SearchStats)}
+        assert "winner" in names and not {"alpha", "c", "trace"} & names
+
     def test_star_import_binds_exactly_all(self):
         namespace: dict = {}
         exec("from bandapprox import *", namespace)
@@ -54,18 +72,44 @@ class TestPackageRoot:
             assert namespace[name] is getattr(bandapprox, name)
 
 
+def three_cliques() -> graph.Graph:
+    """Three disjoint 4-cliques: at delta 0.9 every entry point draws at most
+    two roots, which never dominate three components."""
+    return graph.make_graph(12, [
+        (u, v) for base in (0, 4, 8) for u in range(base, base + 4) for v in range(u + 1, base + 4)
+    ])
+
+
 class TestMaxTriesDefault:
+    """Certification gives up after ``domset.DEFAULT_MAX_TRIES`` draws in
+    every entry point; none takes a budget of its own."""
+
     @pytest.mark.parametrize("fn", [
         search.run_search, flow.approx_bandwidth_alg2, matching.approx_bandwidth_alg1,
         matching.approx_bandwidth_baseline, domset.sample_certified,
     ])
     def test_library_defaults(self, fn):
-        assert inspect.signature(fn).parameters["max_tries"].default == domset.DEFAULT_MAX_TRIES
+        assert "max_tries" not in inspect.signature(fn).parameters
+        g = three_cliques()
+        if fn is domset.sample_certified:
+            call = partial(fn, g, 2, 0)
+        elif fn is search.run_search:
+            call = partial(fn, g, domset.SamplingParams(delta=0.9), 0,
+                           backend="flow", hop_radius=2, use_3hop=True)
+        else:
+            call = partial(fn, g, domset.SamplingParams(delta=0.9), 0)
+        with pytest.raises(domset.CertificationError) as exc:
+            call()
+        assert exc.value.attempts == domset.DEFAULT_MAX_TRIES
 
     @pytest.mark.parametrize("command", [["approx", "g.txt"], ["bench"]])
     def test_cli_default(self, command):
-        args = cli.build_parser().parse_args(command)
-        assert args.max_tries == domset.DEFAULT_MAX_TRIES
+        parser = cli.build_parser()
+        assert not {"max_tries", "alpha", "c"} & set(vars(parser.parse_args(command)))
+        for flag in (["--max-tries", "3"], ["--alpha", "0.5"], ["--c", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(command + flag)
+            assert exc.value.code == cli.EXIT_USAGE
 
 
 class TestTracerBindings:

@@ -52,6 +52,7 @@ from helpers import (
     er_graph,
     path_graph,
     planted_band,
+    recorded_leaves,
     reference_intervals,
     three_hop_listings,
 )
@@ -247,14 +248,15 @@ class TestWalkOrder:
     @pytest.mark.parametrize("name,g,seed,variants", ORDER_CASES, ids=[c[0] for c in ORDER_CASES])
     def test_winner_matches_exhaustive_scan(self, name, g, seed, variants):
         for label, run, kwargs, backend, use_3hop in variants:
-            layout, boxsize, stats = run(g, seed=seed, record_trace=True, **kwargs)
+            with recorded_leaves() as leaves:
+                layout, boxsize, stats = run(g, seed=seed, **kwargs)
             rs = sample_certified(g, stats.root_count, seed=seed, hop_radius=stats.hop_radius)
             expected = exhaustive_winner(g, rs, backend, use_3hop)
-            got = (boxsize, stats.trace[-1][1], layout)
+            got = (boxsize, stats.winner, layout)
             assert got == expected, label
-            assert stats.trace[-1][2] is True
-            assert not any(ok for _, _, ok in stats.trace[:-1])
-            assert stats.configs_tried == len(stats.trace) <= stats.nodes_visited
+            assert leaves[-1] == (boxsize, stats.winner, True)
+            assert not any(ok for _, _, ok in leaves[:-1])
+            assert stats.configs_tried == len(leaves) <= stats.nodes_visited
 
 
 def hall_verdict(intervals, cfg):
@@ -282,7 +284,7 @@ def floor_free_winner(g, rs, use_3hop=True):
     box from 1 up and the cut looks ahead over no twins."""
     windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
     windows = replace(windows, twins=(-1,) * len(rs.roots))
-    stats = SearchStats("", 0, g.n, 0.0, 0.5, 1.0, rs.hop_radius, use_3hop)  # counters only
+    stats = SearchStats("", 0, g.n, 0.0, rs.hop_radius, use_3hop)  # counters only
     for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
         prefix = PlacementPrefix(make_box_config(g.n, boxsize), windows)
         boxes = _first_feasible_placement(prefix, stats)
@@ -322,17 +324,18 @@ class TestTwinFloors:
     @pytest.mark.parametrize("n,gseed", DENSE_SCAN_SHAPED, ids=[f"n{n}-{s}" for n, s in DENSE_SCAN_SHAPED])
     def test_dense_scan_shaped_winner_and_multiset_bound(self, n, gseed):
         g = gen_dense_random(n, 0.3, gseed)
-        layout, boxsize, stats = approx_bandwidth_alg2(g, seed=0, record_trace=True)
+        with recorded_leaves() as leaves:
+            layout, boxsize, stats = approx_bandwidth_alg2(g, seed=0)
         rs = sample_certified(g, stats.root_count, seed=0)
         k = len(rs.roots)
         # diameter 2: every root's two-hop ball is the whole graph
         assert root_twins(root_balls(g, rs)) == tuple(range(-1, k - 1))
-        assert floor_free_winner(g, rs) == (boxsize, stats.trace[-1][1])
-        configs = Counter(size for size, _, _ in stats.trace)
+        assert floor_free_winner(g, rs) == (boxsize, stats.winner)
+        configs = Counter(size for size, _, _ in leaves)
         for size, tried in configs.items():
             b = make_box_config(n, size).b
             assert tried <= comb(k + b - 1, b - 1), (size, tried)
-        assert all(list(boxes) == sorted(boxes) for _, boxes, _ in stats.trace)
+        assert all(list(boxes) == sorted(boxes) for _, boxes, _ in leaves)
 
     @pytest.mark.parametrize("n,gseed", DENSE_SCAN_SHAPED, ids=[f"n{n}-{s}" for n, s in DENSE_SCAN_SHAPED])
     def test_dense_scan_shaped_walks_visit_at_most_k_plus_b_nodes(self, n, gseed):
