@@ -206,7 +206,6 @@ def _parse_int_list(raw: str | None) -> list[int]:
 
 
 def _add_sampling_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--delta", type=float, default=None,
                    help="assume this density instead of measuring it")
     p.add_argument("--no-3hop", action="store_true",
@@ -240,6 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also solve exactly (small graphs) and report the ratio")
     p.add_argument("--timings", action="store_true",
                    help="include wall-clock phase timings in the report")
+    p.add_argument("--seed", type=int, default=0, help="master random seed")
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_approx)
 
@@ -248,7 +248,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("layout", help="layout file ('vertex position' lines)")
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("bench", help="sweep instances and write a CSV")
+    # no prefix matching: "--seed" would otherwise be read as "--seeds"
+    p = sub.add_parser("bench", help="sweep instances and write a CSV", allow_abbrev=False)
     p.add_argument("--sizes", default=None, help="comma-separated n values")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--algs", default="1,2", help="comma-separated algorithms")

@@ -27,19 +27,29 @@ class GraphParseError(ValueError):
 class Graph:
     """Immutable undirected simple graph on vertices ``0..n-1``.
 
-    Adjacency lists are kept sorted so every traversal of the graph is
-    reproducible run to run.  ``adj_masks`` holds the same neighbourhoods
-    as bitsets; it is built on first use, not by the constructors, and
-    takes no part in equality or hashing.
+    The graph is its sorted adjacency rows, so every traversal of it is
+    reproducible run to run; ``n`` and ``adj`` alone take part in equality
+    and hashing.  ``edges``, ``m`` and ``adj_masks`` are read off the rows
+    when asked for, not by the constructors; ``edges`` and ``adj_masks`` are
+    then kept.
     """
 
     n: int
-    edges: tuple[tuple[int, int], ...]
     adj: tuple[tuple[int, ...], ...]
+
+    @cached_property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge once as ``(u, v)`` with ``u < v``, sorted: each row's
+        higher neighbours in row order."""
+        return tuple(
+            edge
+            for u, row in enumerate(self.adj)
+            for edge in zip(repeat(u), row[bisect_right(row, u):])
+        )
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return sum(map(len, self.adj)) // 2
 
     @cached_property
     def adj_masks(self) -> tuple[int, ...]:
@@ -74,9 +84,8 @@ def _add_edge(seen: set[int], n: int, u: int, v: int) -> None:
 
 
 def _graph_of(n: int, seen: set[int]) -> Graph:
-    """The graph of a validated edge set keyed as by :func:`_add_edge`:
-    each adjacency row sorted, and the sorted edge tuple read off the rows'
-    higher neighbours."""
+    """The graph of a validated edge set keyed as by :func:`_add_edge`,
+    each adjacency row sorted."""
     rows: list[list[int]] = [[] for _ in range(n)]
     for key in seen:
         u, v = divmod(key, n)
@@ -84,19 +93,13 @@ def _graph_of(n: int, seen: set[int]) -> Graph:
         rows[v].append(u)
     for row in rows:
         row.sort()
-    return Graph(
-        n=n,
-        edges=tuple(
-            edge
-            for u, row in enumerate(rows)
-            for edge in zip(repeat(u), row[bisect_right(row, u):])
-        ),
-        adj=tuple(map(tuple, rows)),
-    )
+    return Graph(n=n, adj=tuple(map(tuple, rows)))
 
 
 def make_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
-    """Build a graph from an edge iterable, validating simplicity.
+    """Build a graph from an edge iterable, validating simplicity.  The
+    graph keeps only the adjacency rows; its ``edges`` tuple is read off
+    them on first use, sorted whatever the input order.
 
     Raises ``ValueError`` on self-loops, duplicate edges, or ids outside
     ``0..n-1``.
@@ -162,7 +165,7 @@ def serialize_graph(g: Graph) -> str:
 
 
 def min_degree(g: Graph) -> int:
-    return min(len(row) for row in g.adj)
+    return min(map(len, g.adj))
 
 
 def density(g: Graph) -> Fraction:
@@ -273,8 +276,4 @@ def gen_dense_random(n: int, delta: float, seed: int) -> Graph:
                 neighbors[w].add(v)
         rows = [sorted(row) for row in neighbors]
 
-    return Graph(
-        n=n,
-        edges=tuple((u, v) for u in range(n) for v in rows[u] if u < v),
-        adj=tuple(map(tuple, rows)),
-    )
+    return Graph(n=n, adj=tuple(map(tuple, rows)))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import Graph
+from .graph import Graph, min_degree
 
 DEFAULT_ORACLE_CAP = 14
 
@@ -53,7 +53,7 @@ def layout_bandwidth(g: Graph, layout: Layout) -> int:
 
 def degree_lower_bound(g: Graph) -> int:
     """``ceil(max_degree / 2)``: a vertex of degree D forces bandwidth >= D/2."""
-    worst = max(len(row) for row in g.adj)
+    worst = max(map(len, g.adj))
     return (worst + 1) // 2
 
 
@@ -75,7 +75,7 @@ def exact_bandwidth(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, Layou
     order = sorted(range(n), key=lambda v: (-g.degree(v), v))
     # the vertex at position 1 needs all its neighbors to the right within
     # the bound, so bandwidth >= min degree as well
-    start = max(degree_lower_bound(g), min(g.degree(v) for v in range(n)))
+    start = max(degree_lower_bound(g), min_degree(g))
     for k in range(start, n):
         witness = _layout_within(g, k, order)
         if witness is not None:

@@ -289,9 +289,4 @@ def frozen_gen_dense_random(n: int, delta: float, seed: int, top_ups=None) -> Gr
     if top_ups is not None:
         top_ups.append(added)
 
-    edges = tuple(sorted((u, v) for u in range(n) for v in neighbors[u] if u < v))
-    return Graph(
-        n=n,
-        edges=edges,
-        adj=tuple(tuple(sorted(row)) for row in neighbors),
-    )
+    return Graph(n=n, adj=tuple(tuple(sorted(row)) for row in neighbors))

@@ -274,6 +274,14 @@ class TestBench:
         assert rows[0][:4] == ["6", "0.9", "0", "2"]
         assert rows[0][-1] == "InfeasibleError"
 
+    def test_seed_flag_is_a_usage_error(self, capsys):
+        # run seeds come from --seeds; a --seed would be silently ignored
+        code, out, err = run_cli(
+            capsys, "bench", "--sizes", "8", "--seeds", "0", "--algs", "2", "--seed", "7",
+        )
+        assert code == 1
+        assert out == "" and "--seed" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "bench.csv"
         code, _, _ = run_cli(

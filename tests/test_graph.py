@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bandapprox.flow import approx_bandwidth_alg2
 from bandapprox.graph import (
     Graph,
     GraphParseError,
@@ -16,6 +17,7 @@ from bandapprox.graph import (
     parse_graph,
     serialize_graph,
 )
+from bandapprox.matching import approx_bandwidth_alg1, approx_bandwidth_baseline
 from helpers import (
     complete_graph,
     cycle_graph,
@@ -189,14 +191,28 @@ class TestBitsetBfs:
     def test_constructors_leave_masks_unbuilt(self):
         text = serialize_graph(er_graph(12, 0.3, 2))
         for g in (make_graph(4, [(0, 1), (2, 3)]), parse_graph(text), gen_dense_random(20, 0.3, 1)):
-            assert "adj_masks" not in vars(g)
+            assert "adj_masks" not in vars(g) and "edges" not in vars(g)
             bfs_from_set(g, [0])
             assert "adj_masks" in vars(g)
+
+    def test_pipelines_leave_edges_unbuilt(self):
+        g = parse_graph(serialize_graph(gen_dense_random(30, 0.4, 3)))
+        runs = (
+            lambda: approx_bandwidth_alg1(g, seed=1),
+            lambda: approx_bandwidth_alg2(g, seed=1),
+            lambda: approx_bandwidth_alg2(g, seed=1, use_3hop=False),
+            lambda: approx_bandwidth_baseline(g, seed=1),
+        )
+        for run in runs:
+            run()
+            assert "edges" not in vars(g)
 
     def test_built_masks_leave_equality_and_hash_alone(self):
         g, h = gen_dense_random(25, 0.3, 4), gen_dense_random(25, 0.3, 4)
         before = hash(g)
         g.adj_masks
+        g.edges
+        assert "edges" not in vars(h)
         assert g == h and hash(g) == hash(h) == before
         assert repr(g) == repr(h)
         assert g != gen_dense_random(25, 0.3, 5)
@@ -233,7 +249,9 @@ class TestGenerator:
             for delta in (0.05, 0.2, 0.35, 0.6, 0.9):
                 for seed in range(6):
                     expected = frozen_gen_dense_random(n, delta, seed, top_ups)
-                    assert gen_dense_random(n, delta, seed) == expected, (n, delta, seed)
+                    g = gen_dense_random(n, delta, seed)
+                    assert g == expected, (n, delta, seed)
+                    assert g.edges == expected.edges, (n, delta, seed)
         # both branches are covered: drawn alone and topped up
         assert 0 < sum(1 for added in top_ups if added) < len(top_ups)
 
@@ -274,14 +292,14 @@ class TestMakeGraph:
 
 
 def reference_graph(n, edges):
-    """The graph of an edge set built the plain way: sort the edge tuples,
-    then sort each adjacency row."""
+    """The graph of an edge set built the plain way: normalise each edge to
+    ``(min, max)``, drop repeats, then sort each adjacency row."""
     seen = {(min(e), max(e)) for e in edges}
     rows = [[] for _ in range(n)]
     for u, v in seen:
         rows[u].append(v)
         rows[v].append(u)
-    return Graph(n=n, edges=tuple(sorted(seen)), adj=tuple(tuple(sorted(row)) for row in rows))
+    return Graph(n=n, adj=tuple(tuple(sorted(row)) for row in rows))
 
 
 class TestConstruction:
@@ -293,6 +311,15 @@ class TestConstruction:
         random.Random(seed).shuffle(edges)
         edges = [(v, u) if i % 2 else (u, v) for i, (u, v) in enumerate(edges)]
         expected = reference_graph(n, edges)
-        assert make_graph(n, edges) == expected
         text = f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges)
-        assert parse_graph(text) == expected
+        for built in (make_graph(n, edges), parse_graph(text)):
+            assert built == expected
+            assert built.edges == expected.edges == tuple(sorted({(min(e), max(e)) for e in edges}))
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.integers(2, 40), st.floats(0.01, 0.99), st.integers(0, 10**6))
+    def test_edges_and_m_are_read_off_the_rows(self, n, delta, seed):
+        for g in (gen_dense_random(n, delta, seed), er_graph(n, delta, seed)):
+            pairs = sorted((u, v) for u in range(n) for v in g.adj[u] if u < v)
+            assert g.edges == tuple(pairs)
+            assert g.m == len(g.edges)
