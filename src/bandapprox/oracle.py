@@ -1,8 +1,11 @@
 """Exact bandwidth computation at desk scale, plus layout utilities.
 
 The exact solver is a branch-and-bound search over layout prefixes,
-usable up to ``DEFAULT_ORACLE_CAP`` vertices; the tests cross-check it
-against an independent scan of every permutation on very small graphs.
+usable up to ``DEFAULT_ORACLE_CAP`` vertices.  Its search state is
+integer bitmasks over :attr:`Graph.adj_masks`.  The tests pin its values
+and witnesses (``tests/golden/exact.json`` and the list-based
+``frozen_exact_bandwidth``, which it reproduces exactly) and cross-check
+it against an independent scan of every permutation on very small graphs.
 """
 
 from __future__ import annotations
@@ -39,15 +42,18 @@ def is_permutation(layout: Layout, n: int) -> bool:
 
 
 def layout_bandwidth(g: Graph, layout: Layout) -> int:
-    """Largest position gap across an edge; 0 for edgeless graphs."""
+    """Largest position gap across an edge; 0 for edgeless graphs.
+
+    Reads each vertex's adjacency row, so it builds no edge tuple: every
+    edge is seen from its lower end as its highest neighbor's gap."""
     if not is_permutation(layout, g.n):
         raise ValueError(f"layout is not a permutation of 1..{g.n}")
     pos = layout.pos
+    pos_of = pos.__getitem__
     worst = 0
-    for u, v in g.edges:
-        d = abs(pos[u] - pos[v])
-        if d > worst:
-            worst = d
+    for p, row in zip(pos, g.adj):
+        if row:
+            worst = max(worst, max(map(pos_of, row)) - p)
     return worst
 
 
@@ -65,38 +71,45 @@ def exact_bandwidth(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, Layou
     positions 1..n left to right, trying candidate vertices in
     descending-degree order (ties by id, which makes the witness
     deterministic) and pruning a prefix as soon as the placed vertices'
-    remaining neighbors cannot all fit under the bound.
+    remaining neighbors cannot all fit under the bound.  The prefix state
+    is bitmasks: the unplaced vertices are one mask, the pending neighbors
+    of ``w`` are ``adj_masks[w] & unplaced``, and claimed sets are ORs of
+    those, sized by ``int.bit_count``.  Values and witnesses are unchanged
+    from the list-based search (``tests/golden/exact.json``).
     """
     n = g.n
     if n > cap:
         raise OracleCapError(n, cap)
     if g.m == 0:
         return 0, Layout(tuple(range(1, n + 1)))
-    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    # candidates in descending-degree order, each with its bit
+    order = [(v, 1 << v) for v in sorted(range(n), key=lambda v: (-g.degree(v), v))]
+    within = [0] * n  # within[d]: the vertices of degree <= d
+    for v, row in enumerate(g.adj):
+        within[len(row)] |= 1 << v
+    for d in range(1, n):
+        within[d] |= within[d - 1]
     # the vertex at position 1 needs all its neighbors to the right within
     # the bound, so bandwidth >= min degree as well
     start = max(degree_lower_bound(g), min_degree(g))
     for k in range(start, n):
-        witness = _layout_within(g, k, order)
+        witness = _layout_within(g.adj_masks, k, order, within)
         if witness is not None:
             return k, Layout(witness)
     raise AssertionError("every layout has bandwidth <= n-1; search cannot exhaust")
 
 
-def _layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None:
+def _layout_within(
+    masks: tuple[int, ...], k: int, order: list[tuple[int, int]], within: list[int]
+) -> tuple[int, ...] | None:
     """First layout (in search order) with bandwidth <= k, or None."""
-    n = g.n
-    pos = [0] * n  # 0 = unplaced
+    n = len(masks)
     at = [0] * (n + 1)  # at[q] is the vertex at position q < p
-    pending = [g.degree(v) for v in range(n)]  # unplaced-neighbor counts
-    degrees = [g.degree(v) for v in range(n)]
-    adj = g.adj
+    # fits[p]: the vertices whose neighbors all fit in the positions within
+    # distance k of p, min(p-1, k) + min(n-p, k) of them
+    fits = [0] + [within[min(p - 1, k) + min(n - p, k)] for p in range(1, n + 1)]
 
-    def feasible_position(v: int, p: int) -> bool:
-        # a vertex of degree d needs d positions within distance k of p
-        return min(p - 1, k) + min(n - p, k) >= degrees[v]
-
-    def dfs(p: int) -> bool:
+    def dfs(p: int, unplaced: int) -> bool:
         if p > n:
             return True
         # Hall-type demand check: pending neighbors of a placed vertex w
@@ -105,53 +118,37 @@ def _layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None
         # slots p..d; a single w whose pending neighbors outnumber its open
         # slots fails here too.  A union that exactly fills its slots claims
         # them, forcing the current position to one of its members.
-        # The vertex at p-k-1 has no open slot left; those before it were
-        # cleared at earlier depths and pending counts only fall, so only
-        # positions p-k..p-1 can claim, in deadline order.
-        if p > k + 1 and pending[at[p - k - 1]]:
-            return False
-        allowed: frozenset[int] | None = None
-        claimed: set[int] = set()
+        # Only positions p-k..p-1 can claim, in deadline order.  The vertex
+        # at p-k has one open slot, p, so it keeps at most one pending
+        # neighbor and that neighbor is forced here: no vertex is ever
+        # placed more than k after a neighbor.
+        candidates = unplaced & fits[p]
+        claimed = 0
         for q in range(max(1, p - k), p):
-            w = at[q]
-            if not pending[w]:
+            pending = masks[at[q]] & unplaced
+            if not pending:
                 continue
-            for u in adj[w]:
-                if not pos[u]:
-                    claimed.add(u)
+            claimed |= pending
             slots = q + k - p + 1
-            if len(claimed) > slots:
+            size = claimed.bit_count()
+            if size > slots:
                 return False
-            if allowed is None and len(claimed) == slots:
-                allowed = frozenset(claimed)
-        for v in order:
-            if pos[v]:
+            if size == slots:
+                candidates &= claimed
+        for v, bit in order:
+            if not candidates & bit:
                 continue
-            if allowed is not None and v not in allowed:
-                continue
-            if not feasible_position(v, p):
-                continue
-            ok = True
-            for u in adj[v]:
-                if pos[u] and p - pos[u] > k:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            pos[v] = p
             at[p] = v
-            for u in adj[v]:
-                pending[u] -= 1
-            if dfs(p + 1):
+            if dfs(p + 1, unplaced ^ bit):
                 return True
-            pos[v] = 0
-            for u in adj[v]:
-                pending[u] += 1
         return False
 
-    if dfs(1):
-        return tuple(pos)
-    return None
+    if not dfs(1, (1 << n) - 1):
+        return None
+    pos = [0] * n
+    for q in range(1, n + 1):
+        pos[at[q]] = q
+    return tuple(pos)
 
 
 def format_layout(layout: Layout) -> str:

@@ -4,7 +4,8 @@ Every oracle here is deliberately naive (Floyd-Warshall, exhaustive
 matching enumeration, cut enumeration, a scan of every permutation) so
 that the fast implementations are checked against something that cannot
 share their bugs.  ``frozen_gen_dense_random`` keeps the first version of
-the graph generator, which the current one must reproduce exactly, and
+the graph generator and ``frozen_exact_bandwidth`` the list-based exact
+solver, which the current ones must reproduce exactly, and
 ``recorded_leaves`` lists every complete placement a search tests.
 """
 
@@ -20,8 +21,8 @@ import numpy as np
 from bandapprox.boxes import BoxConfig, PlacementPrefix, RootWindows
 from bandapprox.domset import RootSet
 from bandapprox.flow import FlowInstance
-from bandapprox.graph import Graph, make_graph
-from bandapprox.oracle import OracleCapError
+from bandapprox.graph import Graph, make_graph, min_degree
+from bandapprox.oracle import DEFAULT_ORACLE_CAP, Layout, OracleCapError, degree_lower_bound
 from bandapprox.util import ceil_snapped
 
 ENUMERATION_CAP = 10
@@ -290,3 +291,103 @@ def frozen_gen_dense_random(n: int, delta: float, seed: int, top_ups=None) -> Gr
         top_ups.append(added)
 
     return Graph(n=n, adj=tuple(tuple(sorted(row)) for row in neighbors))
+
+
+def frozen_exact_bandwidth(g: Graph, cap: int = DEFAULT_ORACLE_CAP) -> tuple[int, Layout]:
+    """``oracle.exact_bandwidth`` as it was before its search state became
+    adjacency bitsets: per-vertex pending-neighbour counters, a claimed
+    set and a scan of each candidate's placed neighbours.  Frozen so the
+    bitset search can be checked to return the same value and witness.
+
+    Iteratively deepens a target bound k starting from the larger of the
+    half-max-degree and min-degree lower bounds.  For each k a DFS fills
+    positions 1..n left to right, trying candidate vertices in
+    descending-degree order (ties by id, which makes the witness
+    deterministic) and pruning a prefix as soon as the placed vertices'
+    remaining neighbors cannot all fit under the bound.
+    """
+    n = g.n
+    if n > cap:
+        raise OracleCapError(n, cap)
+    if g.m == 0:
+        return 0, Layout(tuple(range(1, n + 1)))
+    order = sorted(range(n), key=lambda v: (-g.degree(v), v))
+    # the vertex at position 1 needs all its neighbors to the right within
+    # the bound, so bandwidth >= min degree as well
+    start = max(degree_lower_bound(g), min_degree(g))
+    for k in range(start, n):
+        witness = _frozen_layout_within(g, k, order)
+        if witness is not None:
+            return k, Layout(witness)
+    raise AssertionError("every layout has bandwidth <= n-1; search cannot exhaust")
+
+
+def _frozen_layout_within(g: Graph, k: int, order: list[int]) -> tuple[int, ...] | None:
+    """First layout (in search order) with bandwidth <= k, or None."""
+    n = g.n
+    pos = [0] * n  # 0 = unplaced
+    at = [0] * (n + 1)  # at[q] is the vertex at position q < p
+    pending = [g.degree(v) for v in range(n)]  # unplaced-neighbor counts
+    degrees = [g.degree(v) for v in range(n)]
+    adj = g.adj
+
+    def feasible_position(v: int, p: int) -> bool:
+        # a vertex of degree d needs d positions within distance k of p
+        return min(p - 1, k) + min(n - p, k) >= degrees[v]
+
+    def dfs(p: int) -> bool:
+        if p > n:
+            return True
+        # Hall-type demand check: pending neighbors of a placed vertex w
+        # must all sit in positions p..pos[w]+k, so for every deadline d
+        # the union of demands with deadline <= d cannot exceed the open
+        # slots p..d; a single w whose pending neighbors outnumber its open
+        # slots fails here too.  A union that exactly fills its slots claims
+        # them, forcing the current position to one of its members.
+        # The vertex at p-k-1 has no open slot left; those before it were
+        # cleared at earlier depths and pending counts only fall, so only
+        # positions p-k..p-1 can claim, in deadline order.
+        if p > k + 1 and pending[at[p - k - 1]]:
+            return False
+        allowed: frozenset[int] | None = None
+        claimed: set[int] = set()
+        for q in range(max(1, p - k), p):
+            w = at[q]
+            if not pending[w]:
+                continue
+            for u in adj[w]:
+                if not pos[u]:
+                    claimed.add(u)
+            slots = q + k - p + 1
+            if len(claimed) > slots:
+                return False
+            if allowed is None and len(claimed) == slots:
+                allowed = frozenset(claimed)
+        for v in order:
+            if pos[v]:
+                continue
+            if allowed is not None and v not in allowed:
+                continue
+            if not feasible_position(v, p):
+                continue
+            ok = True
+            for u in adj[v]:
+                if pos[u] and p - pos[u] > k:
+                    ok = False
+                    break
+            if not ok:
+                continue
+            pos[v] = p
+            at[p] = v
+            for u in adj[v]:
+                pending[u] -= 1
+            if dfs(p + 1):
+                return True
+            pos[v] = 0
+            for u in adj[v]:
+                pending[u] += 1
+        return False
+
+    if dfs(1):
+        return tuple(pos)
+    return None

@@ -18,6 +18,7 @@ from bandapprox.graph import (
     serialize_graph,
 )
 from bandapprox.matching import approx_bandwidth_alg1, approx_bandwidth_baseline
+from bandapprox.oracle import Layout, exact_bandwidth, layout_bandwidth
 from helpers import (
     complete_graph,
     cycle_graph,
@@ -206,6 +207,13 @@ class TestBitsetBfs:
         for run in runs:
             run()
             assert "edges" not in vars(g)
+
+    def test_oracle_leaves_edges_unbuilt(self):
+        g = parse_graph(serialize_graph(gen_dense_random(30, 0.4, 3)))
+        assert layout_bandwidth(g, Layout(tuple(range(1, 31)))) > 0
+        small = parse_graph(serialize_graph(gen_dense_random(12, 0.4, 3)))
+        exact_bandwidth(small)
+        assert "edges" not in vars(g) and "edges" not in vars(small)
 
     def test_built_masks_leave_equality_and_hash_alone(self):
         g, h = gen_dense_random(25, 0.3, 4), gen_dense_random(25, 0.3, 4)

@@ -1,8 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from bandapprox.graph import make_graph
+from bandapprox.graph import bfs_from_set, gen_dense_random, make_graph
 from bandapprox.oracle import (
     Layout,
     OracleCapError,
@@ -18,7 +19,9 @@ from helpers import (
     empty_graph,
     enumerate_bandwidth,
     er_graph,
+    frozen_exact_bandwidth,
     path_graph,
+    planted_band,
     star_graph,
 )
 
@@ -48,6 +51,16 @@ class TestLayoutBandwidth:
             layout_bandwidth(path_graph(3), Layout((1, 1, 2)))
         with pytest.raises(ValueError):
             layout_bandwidth(path_graph(3), Layout((1, 2)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(1, 30), st.floats(0.0, 1.0), st.integers(0, 10**6), st.randoms())
+    def test_matches_an_edge_scan(self, n, p, seed, rng):
+        g = er_graph(n, p, seed)
+        pos = list(range(1, n + 1))
+        rng.shuffle(pos)
+        layout = Layout(tuple(pos))
+        scan = max((abs(pos[u] - pos[v]) for u, v in g.edges), default=0)
+        assert layout_bandwidth(g, layout) == scan
 
 
 class TestDegreeLowerBound:
@@ -112,6 +125,35 @@ class TestExactBandwidth:
         assert exact_bandwidth(g, cap=15)[0] == 1
         with pytest.raises(OracleCapError):
             enumerate_bandwidth(path_graph(11))
+
+
+def frozen_oracle_graphs():
+    """Every graph the bitset search is checked on against the frozen one."""
+    for n in range(2, 15):
+        for delta in (0.1, 0.3, 0.5, 0.9):
+            for seed in range(3):
+                yield f"dense-n{n}-d{delta}#{seed}", gen_dense_random(n, delta, seed)
+    for n in range(4, 15):
+        for seed in range(6):
+            g = er_graph(n, 0.2, seed)
+            if None in bfs_from_set(g, [0]):  # isolated vertices or several components
+                yield f"sparse-n{n}#{seed}", g
+    for n in range(3, 15):
+        for w in range(1, min(n, 5)):
+            yield f"planted-n{n}-w{w}", planted_band(n, w, 10 * n + w)
+    for n in range(2, 15):
+        yield f"path-n{n}", path_graph(n)
+        yield f"complete-n{n}", complete_graph(n)
+    for n in range(3, 15):
+        yield f"cycle-n{n}", cycle_graph(n)
+
+
+class TestFrozenReference:
+    def test_same_value_and_witness_as_the_list_based_search(self):
+        graphs = list(frozen_oracle_graphs())
+        assert sum(name.startswith("sparse") for name, _ in graphs) >= 20
+        for name, g in graphs:
+            assert exact_bandwidth(g) == frozen_exact_bandwidth(g), name
 
 
 class TestBoxRespectingLayouts:
