@@ -7,7 +7,7 @@ Exit codes: 0 success, 1 usage or input error, 2 certification failure
 from __future__ import annotations
 
 import argparse
-import csv
+import json
 import os
 import sys
 from pathlib import Path
@@ -40,10 +40,9 @@ EXIT_IO = 3
 
 ORACLE_CAP_ENV = "BANDAPPROX_ORACLE_CAP"
 
-BENCH_HEADER = [
-    "n", "delta", "seed", "alg", "boxsize", "bandwidth", "exact", "ratio",
-    "configs", "t_certify", "t_bfs", "t_scan", "t_total", "error",
-]
+# the text report's formats for the record's floats; the time_* fields print
+# as .6f, every other value as it is
+REPORT_FORMATS = {"delta": ".6g", "alpha": ".6g", "c": ".6g", "ratio": ".4f"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -69,57 +68,65 @@ def _read_graph(path: str) -> Graph:
     return parse_graph(Path(path).read_text(encoding="utf-8"))
 
 
-def _run_algorithm(g: Graph, alg: str, seed: int, args) -> tuple:
-    params = SamplingParams(delta=args.delta)
+def _write(text: str, path: str | None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout if none."""
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text, encoding="utf-8")
+
+
+def _run_algorithm(
+    g: Graph, alg: str, seed: int, params: SamplingParams, use_3hop: bool
+) -> tuple:
     if alg == "1":
-        return approx_bandwidth_alg1(g, params, seed, use_3hop=not args.no_3hop)
+        return approx_bandwidth_alg1(g, params, seed, use_3hop=use_3hop)
     if alg == "2":
-        return approx_bandwidth_alg2(g, params, seed, use_3hop=not args.no_3hop)
+        return approx_bandwidth_alg2(g, params, seed, use_3hop=use_3hop)
     if alg == "baseline":
         return approx_bandwidth_baseline(g, params, seed)
     raise ValueError(f"unknown algorithm {alg!r}")
 
 
-def _report_lines(
-    stats: SearchStats, m: int, boxsize: int, bw: int, exact: int | None, timings: bool
-) -> list[str]:
-    """The ``approx`` report, one ``key: value`` line each.
+def _run_record(stats: SearchStats, m: int, boxsize: int, bw: int, exact: int | None) -> dict:
+    """One run as an ordered dict of raw values: what ``approx`` prints
+    and ``bench`` writes.  ``exact`` and ``ratio`` are present only when
+    the exact bandwidth is known; the ``time_*`` fields come last."""
+    record = {
+        "algorithm": stats.algorithm, "seed": stats.seed, "n": stats.n, "m": m,
+        "delta": stats.delta, "alpha": ALPHA, "c": C, "roots": stats.root_count,
+        "certify_attempts": stats.certify_attempts, "boxsize": boxsize, "bandwidth": bw,
+        "configs": stats.configs_tried,
+    }
+    if exact is not None:
+        # approx accepts an edgeless graph under --delta: bandwidth 0 both ways
+        record.update(exact=exact, ratio=bw / exact if exact else 1.0)
+    record.update(
+        time_certify_s=stats.time_certify,
+        time_bfs_s=stats.time_bfs,
+        time_scan_s=stats.time_scan,
+        time_total_s=stats.time_total,
+    )
+    return record
+
+
+def _report_lines(record: dict, timings: bool) -> list[str]:
+    """The ``approx`` report, one ``key: value`` line per record field.
 
     Timings are printed only on request, so that a fixed seed yields
     byte-identical default output.
     """
-    out = [
-        f"algorithm: {stats.algorithm}",
-        f"seed: {stats.seed}",
-        f"n: {stats.n}",
-        f"m: {m}",
-        f"delta: {stats.delta:.6g}",
-        f"alpha: {ALPHA:.6g}",
-        f"c: {C:.6g}",
-        f"roots: {stats.root_count}",
-        f"certify_attempts: {stats.certify_attempts}",
-        f"boxsize: {boxsize}",
-        f"bandwidth: {bw}",
-        f"configs: {stats.configs_tried}",
-    ]
-    if exact is not None:
-        ratio = bw / exact if exact > 0 else 1.0
-        out += [f"exact: {exact}", f"ratio: {ratio:.4f}"]
-    if timings:
-        out.append(f"time_certify_s: {stats.time_certify:.6f}")
-        out.append(f"time_bfs_s: {stats.time_bfs:.6f}")
-        out.append(f"time_scan_s: {stats.time_scan:.6f}")
-        out.append(f"time_total_s: {stats.time_total:.6f}")
-    return out
+    lines = []
+    for key, value in record.items():
+        if not key.startswith("time_"):
+            lines.append(f"{key}: {value:{REPORT_FORMATS.get(key, '')}}")
+        elif timings:
+            lines.append(f"{key}: {value:.6f}")
+    return lines
 
 
 def cmd_generate(args) -> int:
-    g = gen_dense_random(args.n, args.delta, args.seed)
-    text = serialize_graph(g)
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        Path(args.out).write_text(text, encoding="utf-8")
+    _write(serialize_graph(gen_dense_random(args.n, args.delta, args.seed)), args.out)
     return EXIT_OK
 
 
@@ -133,15 +140,14 @@ def cmd_exact(args) -> int:
 
 def cmd_approx(args) -> int:
     g = _read_graph(args.graph)
-    layout, boxsize, stats = _run_algorithm(g, args.alg, args.seed, args)
+    params = SamplingParams(delta=args.delta)
+    layout, boxsize, stats = _run_algorithm(g, args.alg, args.seed, params, not args.no_3hop)
     bw = layout_bandwidth(g, layout)
     exact = exact_bandwidth(g, cap=oracle_cap())[0] if args.with_exact else None
-    print("\n".join(_report_lines(stats, g.m, boxsize, bw, exact, args.timings)))
+    print("\n".join(_report_lines(_run_record(stats, g.m, boxsize, bw, exact), args.timings)))
     if args.layout_out is None:
         print()
-        sys.stdout.write(format_layout(layout))
-    else:
-        Path(args.layout_out).write_text(format_layout(layout), encoding="utf-8")
+    _write(format_layout(layout), args.layout_out)
     return EXIT_OK
 
 
@@ -159,43 +165,26 @@ def cmd_bench(args) -> int:
     for a in algs:
         if a not in ("1", "2", "baseline"):
             raise ValueError(f"unknown algorithm {a!r} in --algs")
+    params = SamplingParams(delta=args.delta)
 
-    rows: list[list] = []
+    lines = []
     for n in sizes:
         for seed in seeds:
-            gseed = derive_seed(seed, "gen", n)
-            g = gen_dense_random(n, args.delta_gen, gseed)
-            exact_val: int | None = None
+            g = gen_dense_random(n, args.delta_gen, derive_seed(seed, "gen", n))
+            exact = None
             if args.exact_max and n <= args.exact_max:
-                exact_val, _ = exact_bandwidth(g, cap=args.exact_max)
+                exact = exact_bandwidth(g, cap=args.exact_max)[0]
             for alg in algs:
                 aseed = derive_seed(seed, "approx", n, alg)
-                row: list = [n, f"{args.delta_gen:.6g}", seed, alg]
+                record = {"n": n, "delta_gen": args.delta_gen, "sweep_seed": seed, "alg": alg}
                 try:
-                    layout, boxsize, stats = _run_algorithm(g, alg, aseed, args)
+                    layout, boxsize, stats = _run_algorithm(g, alg, aseed, params, not args.no_3hop)
                     bw = layout_bandwidth(g, layout)
-                    ratio = (
-                        f"{bw / exact_val:.4f}" if exact_val else ""
-                    )
-                    row += [
-                        boxsize, bw,
-                        exact_val if exact_val is not None else "",
-                        ratio, stats.configs_tried,
-                        f"{stats.time_certify:.6f}", f"{stats.time_bfs:.6f}",
-                        f"{stats.time_scan:.6f}", f"{stats.time_total:.6f}", "",
-                    ]
-                except (CertificationError, InfeasibleError, ValueError) as exc:
-                    row += ["", "", "", "", "", "", "", "", "", type(exc).__name__]
-                rows.append(row)
-
-    out = sys.stdout if args.out is None else open(args.out, "w", newline="", encoding="utf-8")
-    try:
-        writer = csv.writer(out)
-        writer.writerow(BENCH_HEADER)
-        writer.writerows(rows)
-    finally:
-        if out is not sys.stdout:
-            out.close()
+                    record.update(_run_record(stats, g.m, boxsize, bw, exact))
+                except (CertificationError, InfeasibleError) as exc:
+                    record["error"] = type(exc).__name__
+                lines.append(json.dumps(record) + "\n")
+    _write("".join(lines), args.out)
     return EXIT_OK
 
 
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     # no prefix matching: "--seed" would otherwise be read as "--seeds"
-    p = sub.add_parser("bench", help="sweep instances and write a CSV", allow_abbrev=False)
+    p = sub.add_parser("bench", help="sweep instances and write JSON lines", allow_abbrev=False)
     p.add_argument("--sizes", default=None, help="comma-separated n values")
     p.add_argument("--seeds", default="0", help="comma-separated seeds")
     p.add_argument("--algs", default="1,2", help="comma-separated algorithms")
@@ -257,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="density of generated instances")
     p.add_argument("--exact-max", type=int, default=0,
                    help="solve exactly (and emit ratios) when n <= this")
-    p.add_argument("--out", default=None, help="CSV path (default: stdout)")
+    p.add_argument("--out", default=None, help="output path (default: stdout)")
     _add_sampling_flags(p)
     p.set_defaults(func=cmd_bench)
 

@@ -100,11 +100,27 @@ def path_graph(n: int) -> Graph:
     return make_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def planted_band(n: int, w: int, seed: int) -> Graph:
-    """The w-th power of a path on n vertices, relabeled at random."""
-    label = list(range(n))
-    random.Random(seed).shuffle(label)
-    edges = [(label[i], label[j]) for i in range(n) for j in range(i + 1, min(n, i + w + 1))]
+def planted_order(n: int, seed: int) -> list[int]:
+    """The vertices of ``planted_band(n, w, seed, p)`` in planted order:
+    the layout putting ``order[i]`` at position ``i + 1`` has bandwidth at
+    most ``w``."""
+    order = list(range(n))
+    random.Random(seed).shuffle(order)
+    return order
+
+
+def planted_band(n: int, w: int, seed: int, p: float = 1.0) -> Graph:
+    """The w-th power of a path on n vertices, relabeled at random
+    (:func:`planted_order`); every edge but the path's own is kept with
+    probability ``p``, so the graph stays connected."""
+    order = planted_order(n, seed)
+    keep = random.Random(f"planted-keep-{seed}")
+    edges = [
+        (order[i], order[j])
+        for i in range(n)
+        for j in range(i + 1, min(n, i + w + 1))
+        if j == i + 1 or keep.random() < p
+    ]
     return make_graph(n, edges)
 
 

@@ -16,15 +16,16 @@ from bandapprox.boxes import (
     root_windows,
     update_intervals,
 )
-from bandapprox.domset import RootSet, sample_certified
-from bandapprox.graph import gen_dense_random, make_graph
-from bandapprox.oracle import exact_bandwidth
+from bandapprox.domset import RootSet, is_dominating, sample_certified
+from bandapprox.graph import gen_dense_random, hop_balls, make_graph
+from bandapprox.oracle import Layout, exact_bandwidth, layout_bandwidth
 from helpers import (
     complete_graph,
     er_graph,
     floyd_warshall_from_set,
     path_graph,
     planted_band,
+    planted_order,
     reference_intervals,
     three_hop_listings,
 )
@@ -509,3 +510,63 @@ class TestVertexClasses:
         check(0)
         assert nodes > cfg.b ** (k - 1) and violations > 0
 
+
+
+def greedy_dominating_roots(g, hop_radius, rng):
+    """A certified root set, grown greedily: each step adds the vertex
+    whose ``hop_radius`` ball holds the most vertices no root's ball holds
+    yet, ties broken at random, until every vertex is held."""
+    balls = [hop_balls(g, (v,), hop_radius)[-1] for v in range(g.n)]
+    tie = [rng.random() for _ in range(g.n)]
+    uncovered = (1 << g.n) - 1
+    roots = []
+    while uncovered:
+        best = max(range(g.n), key=lambda v: ((balls[v] & uncovered).bit_count(), tie[v]))
+        roots.append(best)
+        uncovered &= ~balls[best]
+    rs = RootSet(roots=tuple(sorted(roots)), hop_radius=hop_radius, certified=True)
+    assert is_dominating(g, rs)
+    return rs
+
+
+class TestReadOff:
+    """The read-off lemma, at sizes no exhaustive reference reaches: read a
+    layout of bandwidth beta at box size beta, each vertex in the box of
+    its position.  A vertex h hops from a root is at most h*beta positions,
+    so at most h boxes, from it; every vertex's box therefore lies in its
+    interval, and placing the read-off root boxes never cuts a prefix.
+    Nothing here is derived from the window rule, so the test holds under
+    any sound one.  Greedy roots keep k' well below n, so the windows bind.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(60, 200), w=st.integers(2, 8), p=st.sampled_from([1.0, 0.7, 0.4]),
+           seed=st.integers(0, 10**6))
+    @pytest.mark.parametrize("hop_radius,use_3hop", [(2, True), (2, False), (1, False)])
+    def test_planted_layout_reads_off_an_uncut_placement(
+        self, hop_radius, use_3hop, n, w, p, seed
+    ):
+        g = planted_band(n, w, seed, p)
+        pos = [0] * n
+        for i, v in enumerate(planted_order(n, seed)):
+            pos[v] = i + 1
+        cfg = make_box_config(n, layout_bandwidth(g, Layout(tuple(pos))))
+        box = [cfg.box_of(q) for q in pos]
+        rs = greedy_dominating_roots(g, hop_radius, random.Random(seed))
+        windows = root_windows(rs, root_balls(g, rs), n, use_3hop)
+        # twins are interchangeable and the walk places each twin class in
+        # ascending boxes: hand the class its read-off boxes sorted
+        head = []
+        for d, t in enumerate(windows.twins):
+            head.append(head[t] if t >= 0 else d)
+        for h in set(head):
+            members = [rs.roots[d] for d in range(len(head)) if head[d] == h]
+            for u, b in zip(members, sorted(box[u] for u in members)):
+                box[u] = b
+        prefix = PlacementPrefix(cfg, windows)
+        assert prefix.cut(0) is None
+        for d, u in enumerate(rs.roots):
+            prefix.place(d, box[u])
+            assert prefix.cut(d + 1) is None, (d, prefix.boxes)
+        for v, interval in enumerate(prefix.intervals(rs.roots)):
+            assert interval is not None and interval[0] <= box[v] <= interval[1], v

@@ -1,5 +1,4 @@
-import csv
-import io
+import json
 import subprocess
 import sys
 
@@ -18,7 +17,7 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def raise_infeasible(g, alg, seed, args):
+def raise_infeasible(g, alg, seed, params, use_3hop):
     raise InfeasibleError("no feasible configuration for box sizes 1..1")
 
 
@@ -168,6 +167,34 @@ class TestApprox:
         code, out, _ = run_cli(capsys, "approx", gpath, "--timings", "--seed", "1")
         assert code == 0 and "time_total_s: " in out
 
+    def test_report_prints_the_run_record(self, capsys, tmp_path, monkeypatch):
+        # every report line is one record field, in the record's order,
+        # with floats in their documented formats
+        formats = {"delta": ".6g", "alpha": ".6g", "c": ".6g", "ratio": ".4f",
+                   "time_certify_s": ".6f", "time_bfs_s": ".6f", "time_scan_s": ".6f",
+                   "time_total_s": ".6f"}
+        records = []
+        run_record = cli._run_record
+
+        def recording(*args):
+            records.append(run_record(*args))
+            return records[-1]
+
+        monkeypatch.setattr(cli, "_run_record", recording)
+        gpath = write_graph(tmp_path, cycle_graph(9))
+        for alg in ("1", "2", "baseline"):
+            code, out, _ = run_cli(
+                capsys, "approx", gpath, "--alg", alg, "--with-exact", "--timings",
+                "--delta", "0.5",
+            )
+            assert code == 0
+            record = records.pop()
+            assert list(record)[-6:-4] == ["exact", "ratio"]
+            assert out.split("\n\n")[0].splitlines() == [
+                f"{key}: {format(value, formats.get(key, ''))}"
+                for key, value in record.items()
+            ]
+
     def test_infeasible_search_exit_code(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "_run_algorithm", raise_infeasible)
         gpath = write_graph(tmp_path, complete_graph(8))
@@ -235,9 +262,8 @@ class TestVerify:
 
 
 class TestBench:
-    def parse_csv(self, text):
-        rows = list(csv.reader(io.StringIO(text)))
-        return rows[0], rows[1:]
+    def parse_lines(self, text):
+        return [json.loads(line) for line in text.splitlines()]
 
     def test_small_sweep_structure(self, capsys):
         code, out, _ = run_cli(
@@ -245,22 +271,17 @@ class TestBench:
             "--algs", "1,2", "--delta-gen", "0.5", "--exact-max", "12",
         )
         assert code == 0
-        header, rows = self.parse_csv(out)
-        assert header[:9] == [
-            "n", "delta", "seed", "alg", "boxsize", "bandwidth",
-            "exact", "ratio", "configs",
-        ]
-        assert len(rows) == 8
-        assert [r[0] for r in rows] == sorted(r[0] for r in rows)
-        for row in rows:
-            assert row[-1] == ""  # no errors
-            assert float(row[7]) <= 6.0
+        runs = self.parse_lines(out)
+        assert list(runs[0])[:5] == ["n", "delta_gen", "sweep_seed", "alg", "algorithm"]
+        assert len(runs) == 8
+        assert [r["n"] for r in runs] == sorted(r["n"] for r in runs)
+        for run in runs:
+            assert "error" not in run
+            assert run["ratio"] == run["bandwidth"] / run["exact"] <= 6.0
 
-    def test_empty_sweep_is_header_only(self, capsys):
+    def test_empty_sweep_prints_nothing(self, capsys):
         code, out, _ = run_cli(capsys, "bench")
-        assert code == 0
-        header, rows = self.parse_csv(out)
-        assert rows == [] and header[0] == "n"
+        assert code == 0 and out == ""
 
     def test_failed_runs_keep_their_row(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "_run_algorithm", raise_infeasible)
@@ -269,10 +290,9 @@ class TestBench:
             "--delta-gen", "0.9",
         )
         assert code == 0
-        _, rows = self.parse_csv(out)
-        assert len(rows) == 1
-        assert rows[0][:4] == ["6", "0.9", "0", "2"]
-        assert rows[0][-1] == "InfeasibleError"
+        assert self.parse_lines(out) == [
+            {"n": 6, "delta_gen": 0.9, "sweep_seed": 0, "alg": "2", "error": "InfeasibleError"},
+        ]
 
     def test_seed_flag_is_a_usage_error(self, capsys):
         # run seeds come from --seeds; a --seed would be silently ignored
@@ -282,15 +302,26 @@ class TestBench:
         assert code == 1
         assert out == "" and "--seed" in err
 
-    def test_out_file(self, capsys, tmp_path):
-        path = tmp_path / "bench.csv"
-        code, _, _ = run_cli(
-            capsys, "bench", "--sizes", "8", "--seeds", "0", "--algs", "2",
-            "--out", str(path),
+    @pytest.mark.parametrize("delta", ["0", "1.5"])
+    def test_delta_out_of_range_is_a_usage_error(self, capsys, delta):
+        code, out, err = run_cli(
+            capsys, "bench", "--sizes", "12", "--seeds", "0", "--algs", "2", "--delta", delta,
         )
-        assert code == 0
-        header, rows = self.parse_csv(path.read_text())
-        assert len(rows) == 1
+        assert code == 1 and out == ""
+        assert "delta must lie strictly between 0 and 1" in err
+
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "bench.jsonl"
+        argv = ["bench", "--sizes", "8", "--seeds", "0", "--algs", "2"]
+        code, out, _ = run_cli(capsys, *argv, "--out", str(path))
+        assert code == 0 and out == ""
+        _, printed, _ = run_cli(capsys, *argv)
+        # the lines stdout gets, but for their timings
+        untimed = [
+            {k: v for k, v in run.items() if not k.startswith("time_")}
+            for run in self.parse_lines(path.read_text()) + self.parse_lines(printed)
+        ]
+        assert len(untimed) == 2 and untimed[0] == untimed[1]
 
 
 class TestEntryPoint:
