@@ -28,17 +28,21 @@ list one representative per class; the prefix weighs each class by its
 size in the Hall histogram, which counts its placed roots but not the
 unplaced ones, and expands each class back to vertices only when it reads
 off the intervals.  On a diameter-2 graph every non-root lies in every
-root's ball, so there is one class.  The search in
-:mod:`bandapprox.search` walks placements with a :class:`PlacementPrefix`
-and reads the winner's intervals off it; :func:`update_intervals` places a
-whole placement into a fresh one, and :func:`build_intervals` does so
-straight from the root balls.  :func:`enumerate_placements` lists every
-placement in the order that search visits them, and :func:`root_twins`
-names the roots whose windows agree, whose boxes the search may sort.
-:meth:`PlacementPrefix.cut` uses the twins to look ahead: the unplaced
-members of the next root's twin class lie between their placed twin's box
-and the box of the class's last member, and the prefix is cut when no
-choice of that last box passes the Hall test.
+root's ball, so there is one class.  The placement walk,
+:meth:`PlacementPrefix.first_feasible`, places roots depth first, in
+lexicographic order over the sorted roots, each root starting at the box of
+its previous twin (:func:`root_twins`: roots whose windows agree, whose
+boxes the walk may sort) and never putting more roots in a box than it has
+positions; it drops every prefix that :meth:`PlacementPrefix.cut` rules
+out, so the first complete placement that passes is the first feasible
+twin-ordered one in lexicographic order.  The cut looks ahead over twins:
+the unplaced members of the next root's twin class lie between their placed
+twin's box and the box of the class's last member, and the prefix is cut
+when no choice of that last box passes the Hall test.
+:mod:`bandapprox.search` runs the walk once per box size and reads the
+winner's intervals off the prefix; :func:`update_intervals` places a whole
+placement into a fresh prefix, and :func:`build_intervals` does so straight
+from the root balls.
 """
 
 from __future__ import annotations
@@ -98,7 +102,8 @@ def make_box_config(n: int, boxsize: int) -> BoxConfig:
 
 def enumerate_placements(rs: RootSet, cfg: BoxConfig) -> Iterator[tuple[int, ...]]:
     """All capacity-respecting placements, each the tuple of the roots'
-    boxes (aligned with ``rs.roots``), in lexicographic order."""
+    boxes (aligned with ``rs.roots``), in lexicographic order: the order
+    of :meth:`PlacementPrefix.first_feasible` without twin floors or cuts."""
     k = len(rs.roots)
     load = [0] * (cfg.b + 1)
     choice: list[int] = []
@@ -283,7 +288,7 @@ class PlacementPrefix:
     (``layers[d]`` lists root ``d``'s ``(width, members)`` windows, and
     ``classes`` the members of each class, as the :class:`RootWindows`
     record gives them).  :meth:`place` is the one code that intersects
-    root windows: the search walks placements with it and
+    root windows: :meth:`first_feasible` walks placements with it and
     :func:`build_intervals` places whole placements with it.  ``count`` is
     the histogram the Hall test reads, in vertices: each class weighs its
     size, each placed root is pinned to ``(k, k)``, and unplaced roots and
@@ -295,9 +300,8 @@ class PlacementPrefix:
     last in, first out; each placement costs O(classes the root
     constrains), one step for all non-roots on a diameter-2 graph.
 
-    :meth:`cut` assumes the completions are twin-ordered, each class of
-    the record's ``twins`` taking non-decreasing boxes, and looks ahead
-    over the next root's twin class.
+    :meth:`cut` looks ahead over the next root's twin class and assumes
+    twin-ordered completions, the order :meth:`first_feasible` walks.
     """
 
     def __init__(self, cfg: BoxConfig, windows: RootWindows) -> None:
@@ -324,9 +328,6 @@ class PlacementPrefix:
         self.count[1][b] = n - k
         self.empty = 0
         self._undo: list[list[tuple[int, int, int]]] = [[] for _ in range(k)]
-
-    def has_room(self, box: int) -> bool:
-        return self.load[box] < self.cfg.capacities[box - 1]
 
     def _narrow(self, d: int, box: int, changed: list[tuple[int, int, int]]) -> None:
         """Intersect every class root ``d`` constrains with its window
@@ -413,6 +414,43 @@ class PlacementPrefix:
             if passed:
                 break
         return None if passed else "hall"
+
+    def first_feasible(self) -> tuple[tuple[int, ...] | None, tuple[int, int, int, int]]:
+        """The module docstring's placement walk on this fresh prefix: the
+        boxes of the first complete placement passing :meth:`cut`, left
+        placed, or ``None``; and ``(nodes, configs, empty cuts, Hall cuts)``."""
+        boxes, twins, load = self.boxes, self.twins, self.load
+        capacities = self.cfg.capacities
+        k = len(boxes)
+        b = self.cfg.b
+        nodes = configs = empty = hall = 0
+        d = 0
+        while d >= 0:
+            box = boxes[d]
+            if box:
+                self.retract(d)
+                box += 1
+            else:
+                box = boxes[twins[d]] if twins[d] >= 0 else 1
+            while box <= b and load[box] >= capacities[box - 1]:
+                box += 1
+            if box > b:
+                d -= 1
+                continue
+            self.place(d, box)
+            nodes += 1
+            cut = self.cut(d + 1)
+            if cut == "empty":
+                empty += 1
+            elif cut == "hall":
+                hall += 1
+            if d == k - 1:
+                configs += 1
+                if cut is None:
+                    return tuple(boxes), (nodes, configs, empty, hall)
+            elif cut is None:
+                d += 1
+        return None, (nodes, configs, empty, hall)
 
     def intervals(self, roots: Sequence[int]) -> Intervals:
         """Every vertex's interval: each class's members take their

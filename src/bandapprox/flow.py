@@ -2,14 +2,15 @@
 
 Instead of matching n vertices to n positions, vertices are bucketed by
 their box interval (:func:`count_intervals` turns the per-vertex interval
-tuple into a dict from interval to vertex count): with b boxes there are
-at most 5b distinct intervals, so the flow network (source -> interval
-nodes -> box nodes -> sink) has a size independent of n.  A saturating
-integral flow of value n exists iff the auxiliary bipartite graph has a
-perfect matching, and its arc values say how many vertices of each
-interval class go to each box.  That choice of boxes is all this back end
-makes: :meth:`~bandapprox.boxes.BoxConfig.positions_for` places the
-vertices inside their boxes.
+tuple into a dict from interval to vertex count): with b boxes there are at
+most 5b distinct intervals (every vertex lies in some root's ball, a window
+of at most 5 boxes), so the flow network (source -> interval nodes -> box
+nodes -> sink) has a size independent of n.  A saturating integral flow of
+value n exists iff the auxiliary bipartite graph has a perfect matching, and
+its arc values say how many vertices of each interval class go to each box.
+That choice of boxes is all this back end makes:
+:meth:`~bandapprox.boxes.BoxConfig.positions_for` places the vertices inside
+their boxes.
 """
 
 from __future__ import annotations

@@ -4,7 +4,7 @@ measurement, and deterministic generation of dense random instances."""
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -266,14 +266,16 @@ def gen_dense_random(n: int, delta: float, seed: int) -> Graph:
         for v in higher:
             rows[v].append(u)
         rows[u].extend(higher)
-    if any(len(row) < required for row in rows):
-        neighbors = [set(row) for row in rows]
-        for v in range(n):
-            while len(neighbors[v]) < required:
-                pool = [w for w in range(n) if w != v and w not in neighbors[v]]
+    for v in range(n):
+        row = rows[v]
+        if len(row) < required:
+            # v's non-neighbours, listed once and shrunk as partners are
+            # drawn: the same list, so the same draws, as relisting them
+            pool = sorted(set(range(n)).difference(row, (v,)))
+            while len(row) < required:
                 w = rng.choice(pool)
-                neighbors[v].add(w)
-                neighbors[w].add(v)
-        rows = [sorted(row) for row in neighbors]
+                pool.remove(w)
+                insort(row, w)
+                insort(rows[w], v)
 
     return Graph(n=n, adj=tuple(map(tuple, rows)))

@@ -4,17 +4,13 @@ One driver owns the whole pipeline: measure density, size and certify the
 root sample, read each root's ball and ring off the adjacency bitsets
 (:func:`~bandapprox.boxes.root_balls`) and turn them into one
 :class:`~bandapprox.boxes.RootWindows` record, then scan box sizes
-ascending from the degree lower bound.  For each box size the walk places
-roots into a :class:`~bandapprox.boxes.PlacementPrefix` depth first, in
-lexicographic order over the sorted roots, each root starting at its
-previous twin's box and never putting more roots in a box than it has
-positions; it drops every prefix that
-:meth:`~bandapprox.boxes.PlacementPrefix.cut` rules out.  So the first
-complete placement that passes is the first feasible twin-ordered one in
-lexicographic order.  Only there are the intervals read off the prefix
-and the chosen back end (Hopcroft-Karp matching or compressed max flow)
-run, to extract the layout; a back end that disagrees with the Hall test
-raises ``AssertionError``.
+ascending from the degree lower bound.  For each box size
+:meth:`~bandapprox.boxes.PlacementPrefix.first_feasible` walks the root
+placements (:mod:`bandapprox.boxes` describes the walk) and stops with the
+first feasible one placed.  Only there are the intervals read off the
+prefix and the chosen back end (Hopcroft-Karp matching or compressed max
+flow) run, to extract the layout; a back end that disagrees with the Hall
+test raises ``AssertionError``.
 
 A *config* (``SearchStats.configs_tried``, the ``configs`` of reports and
 bench rows) is a complete twin-ordered placement the walk reached,
@@ -150,7 +146,11 @@ def _scan_boxsize(g, rs, windows, backend, stats, boxsize):
     cfg = make_box_config(g.n, boxsize)
     stats.boxsizes_tried += 1
     prefix = PlacementPrefix(cfg, windows)
-    boxes = _first_feasible_placement(prefix, stats)
+    boxes, (nodes, configs, empty, hall) = prefix.first_feasible()
+    stats.nodes_visited += nodes
+    stats.configs_tried += configs
+    stats.pruned_empty += empty
+    stats.pruned_by_hall += hall
     if boxes is None:
         return None
     stats.winner = boxes
@@ -162,47 +162,6 @@ def _scan_boxsize(g, rs, windows, backend, stats, boxsize):
             "which the Hall test accepts"
         )
     return layout
-
-
-def _first_feasible_placement(prefix: PlacementPrefix, stats: SearchStats):
-    """Depth-first walk over capacity-respecting, twin-ordered root
-    placements in lexicographic order, cutting every prefix
-    :meth:`PlacementPrefix.cut` rules out; the boxes of the first complete
-    placement that passes, or ``None``.
-
-    Root ``d`` starts at the box of its previous twin ``prefix.twins[d]``
-    (see :func:`~bandapprox.boxes.root_twins`), so each twin class takes
-    its boxes in non-decreasing order."""
-    boxes, twins = prefix.boxes, prefix.twins
-    k = len(boxes)
-    b = prefix.cfg.b
-    d = 0
-    while d >= 0:
-        box = boxes[d]
-        if box:
-            prefix.retract(d)
-            box += 1
-        else:
-            box = boxes[twins[d]] if twins[d] >= 0 else 1
-        while box <= b and not prefix.has_room(box):
-            box += 1
-        if box > b:
-            d -= 1
-            continue
-        prefix.place(d, box)
-        stats.nodes_visited += 1
-        cut = prefix.cut(d + 1)
-        if cut == "empty":
-            stats.pruned_empty += 1
-        elif cut == "hall":
-            stats.pruned_by_hall += 1
-        if d == k - 1:
-            stats.configs_tried += 1
-            if cut is None:
-                return tuple(boxes)
-        elif cut is None:
-            d += 1
-    return None
 
 
 def _extract_layout(intervals: Intervals, cfg: BoxConfig, backend: str, stats: SearchStats):

@@ -42,8 +42,9 @@ def recorded_leaves():
     """Every complete placement the searches run inside the block test, as
     ``(boxsize, boxes, feasible)`` in walk order, the winner last.
 
-    Wraps :meth:`PlacementPrefix.cut`, which the walk calls once per node;
-    a call with every root placed is a leaf.
+    Wraps :meth:`PlacementPrefix.cut`, which the walk,
+    :meth:`PlacementPrefix.first_feasible`, calls once per node through the
+    class; a call with every root placed is a leaf.
     """
     leaves = []
     cut = PlacementPrefix.cut

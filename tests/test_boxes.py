@@ -17,6 +17,7 @@ from bandapprox.boxes import (
     update_intervals,
 )
 from bandapprox.domset import RootSet, is_dominating, sample_certified
+from bandapprox.flow import count_intervals
 from bandapprox.graph import gen_dense_random, hop_balls, make_graph
 from bandapprox.oracle import Layout, exact_bandwidth, layout_bandwidth
 from helpers import (
@@ -501,7 +502,7 @@ class TestVertexClasses:
             if d == k:
                 return
             for box in range(1, cfg.b + 1):
-                if prefix.has_room(box):
+                if prefix.load[box] < cfg.capacities[box - 1]:
                     prefix.place(d, box)
                     visit(d + 1)
                     prefix.retract(d)
@@ -570,3 +571,35 @@ class TestReadOff:
             assert prefix.cut(d + 1) is None, (d, prefix.boxes)
         for v, interval in enumerate(prefix.intervals(rs.roots)):
             assert interval is not None and interval[0] <= box[v] <= interval[1], v
+
+
+class TestIntervalSpan:
+    """Claim (b) at sizes no exhaustive reference reaches: a certified root
+    set holds every non-root in some root's ball, a window of ``2r + 1``
+    boxes around that root's box, so under any placement every non-empty
+    interval spans at most 5 boxes for two-hop roots, with or without the
+    rings, and 3 for the baseline's one-hop roots.  The flow instance then
+    has at most 5b interval keys (3b for the baseline), independent of n.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(60, 200), w=st.integers(2, 8), p=st.sampled_from([1.0, 0.7, 0.4]),
+           seed=st.integers(0, 10**6))
+    @pytest.mark.parametrize("hop_radius,use_3hop", [(2, True), (2, False), (1, False)])
+    def test_random_placements_keep_intervals_within_the_ball_window(
+        self, hop_radius, use_3hop, n, w, p, seed
+    ):
+        g = planted_band(n, w, seed, p)
+        rng = random.Random(seed)
+        rs = greedy_dominating_roots(g, hop_radius, rng)
+        windows = root_windows(rs, root_balls(g, rs), n, use_3hop)
+        span = 2 * hop_radius + 1
+        for boxsize in (2, w, 2 * w, 4 * w):  # b from n/32 up to 100
+            cfg = make_box_config(n, boxsize)
+            # distinct random positions: a capacity-respecting placement
+            positions = rng.sample(range(1, n + 1), len(rs.roots))
+            boxes = [cfg.box_of(q) for q in positions]
+            held = [iv for iv in update_intervals(rs, windows, cfg, boxes) if iv is not None]
+            assert all(hi - lo < span for lo, hi in held), (boxsize, boxes)
+            counts = count_intervals(tuple(held))
+            assert len(counts) <= span * cfg.b and sum(counts.values()) == len(held)

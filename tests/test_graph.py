@@ -253,13 +253,17 @@ class TestGenerator:
 
     def test_draws_the_frozen_generators_graphs(self):
         top_ups: list[int] = []
-        for n in (2, 3, 9, 13, 20, 31, 50, 64):
-            for delta in (0.05, 0.2, 0.35, 0.6, 0.9):
-                for seed in range(6):
-                    expected = frozen_gen_dense_random(n, delta, seed, top_ups)
-                    g = gen_dense_random(n, delta, seed)
-                    assert g == expected, (n, delta, seed)
-                    assert g.edges == expected.edges, (n, delta, seed)
+        cases = [(n, delta) for n in (2, 3, 9, 13, 20, 31, 50, 64)
+                 for delta in (0.05, 0.2, 0.35, 0.6, 0.9)]
+        # large and sparse: some vertices are short by up to four edges, so
+        # one vertex draws several partners from the same pool
+        cases += [(n, delta) for n in (100, 151, 200) for delta in (0.05, 0.08, 0.1)]
+        for n, delta in cases:
+            for seed in range(6):
+                expected = frozen_gen_dense_random(n, delta, seed, top_ups)
+                g = gen_dense_random(n, delta, seed)
+                assert g == expected, (n, delta, seed)
+                assert g.edges == expected.edges, (n, delta, seed)
         # both branches are covered: drawn alone and topped up
         assert 0 < sum(1 for added in top_ups if added) < len(top_ups)
 

@@ -46,7 +46,6 @@ from bandapprox.matching import (
     normalize_matching,
 )
 from bandapprox.oracle import degree_lower_bound, exact_bandwidth
-from bandapprox.search import SearchStats, _first_feasible_placement
 from helpers import (
     cycle_graph,
     er_graph,
@@ -167,7 +166,7 @@ class TestPlacementPrefix:
                     nonlocal prefixes, cut, looked_ahead
                     floor = prefix.boxes[twins[d]] if twins[d] >= 0 else 1
                     for box in range(floor, cfg.b + 1):
-                        if not prefix.has_room(box):
+                        if prefix.load[box] >= cfg.capacities[box - 1]:
                             continue
                         prefix.place(d, box)
                         placed = tuple(prefix.boxes[: d + 1])
@@ -284,10 +283,9 @@ def floor_free_winner(g, rs, use_3hop=True):
     box from 1 up and the cut looks ahead over no twins."""
     windows = root_windows(rs, root_balls(g, rs), g.n, use_3hop)
     windows = replace(windows, twins=(-1,) * len(rs.roots))
-    stats = SearchStats("", 0, g.n, 0.0, rs.hop_radius, use_3hop)  # counters only
     for boxsize in range(max(1, degree_lower_bound(g)), g.n + 1):
         prefix = PlacementPrefix(make_box_config(g.n, boxsize), windows)
-        boxes = _first_feasible_placement(prefix, stats)
+        boxes, _ = prefix.first_feasible()
         if boxes is not None:
             return boxsize, boxes
     return None
